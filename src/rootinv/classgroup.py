@@ -3,9 +3,10 @@
 For an irreducible system the class group of the invariant ring is either
 the (finite) weight-by-root lattice quotient — when no reflection acts
 diagonalizably on the root lattice — or trivial, when some reflection does.
-Both routes below are exact; `class_group_cross_check` compares the group
-computed this way with the toric divisor class group of the associated
-affine monoid algebra.
+The reflections of W are its root reflections, so the decision is made on
+those for every type; `class_group_cross_check` compares the group computed
+this way with the toric divisor class group of the associated affine monoid
+algebra.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlinalg import IntVec, cokernel_invariant_factors
-from .monoids import toric_class_group
-from .reports import family_monoid
+from .monoids import family_monoid, toric_class_group
 from .rootsystem import RootSystem
 from .weyl import DEFAULT_GROUP_CAP, diagonalizable_reflection_subgroup
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from .classgroup import class_group, class_group_cross_check, weight_quotient
 from .errors import (
@@ -71,32 +69,24 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("ROOTINV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_type(args: argparse.Namespace) -> RootSystemType:
     return RootSystemType.parse(args.type, args.rank)
 
 
-def _report_for(t: RootSystemType) -> InvariantReport:
+def _report_for(t: RootSystemType, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     if t.family == "A":
-        return report_A(t.rank + 1)
+        return report_A(t.rank + 1, box_cap)
     if t.family == "B":
-        return report_B(t.rank)
+        return report_B(t.rank, box_cap)
     if t.family == "C":
-        return report_C(t.rank)
+        return report_C(t.rank, box_cap)
     if t.family == "D":
-        return report_D(t.rank)
+        return report_D(t.rank, box_cap)
     if t.name == "E6":
-        return report_E6()
+        return report_E6(box_cap)
     if t.name == "E7":
-        return report_E7()
-    return report_selfdual(t.name)
+        return report_E7(box_cap)
+    return report_selfdual(t.name, box_cap)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -132,7 +122,9 @@ def _monoid_payload(m) -> dict:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     t = _parse_type(args)
-    rep = _report_for(t)
+    if args.degree_bound is not None and args.degree_bound < 1:
+        raise ValueError(f"--degree-bound must be at least 1, got {args.degree_bound}")
+    rep = _report_for(t, args.box_cap)
     rs = build(t)
     failed = False
     payload = {
@@ -501,15 +493,9 @@ def _run_check(fn) -> tuple[bool, str]:
 def cmd_selfcheck(args: argparse.Namespace) -> int:
     warnings.filterwarnings("ignore", message=".*isomorphic.*")
     checks = _selfcheck_list(args.include_e7, args.group_cap)
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_check, fn) for _, fn in checks]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_check(fn) for _, fn in checks]
     failures = 0
-    for (name, _), (ok, detail) in zip(checks, results):
+    for name, fn in checks:
+        ok, detail = _run_check(fn)
         status = "PASS" if ok else "FAIL"
         if not ok:
             failures += 1

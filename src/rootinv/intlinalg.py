@@ -308,28 +308,12 @@ def rank_int(a: IntMatrix) -> int:
     return rank
 
 
-def solve_exact(a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]) -> QVec:
-    """Solve A x = b exactly for square nonsingular A over the rationals."""
+def _gauss_jordan(
+    a: Sequence[Sequence[Fraction | int]], rhs: Sequence[Sequence[Fraction | int]]
+) -> list[list[Fraction]]:
+    """Reduce [A | rhs] to [I | A^-1 rhs] for square nonsingular A; return A^-1 rhs."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise DimensionMismatch("singular system")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(m[i][n] for i in range(n))
-
-
-def invert_rational(a: Sequence[Sequence[Fraction | int]]) -> tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix, as a tuple of rows."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    m = [[Fraction(x) for x in row] + [Fraction(x) for x in extra] for row, extra in zip(a, rhs)]
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
@@ -341,7 +325,19 @@ def invert_rational(a: Sequence[Sequence[Fraction | int]]) -> tuple[QVec, ...]:
             if i != col and m[i][col]:
                 f = m[i][col]
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    return [row[n:] for row in m]
+
+
+def solve_exact(a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]) -> QVec:
+    """Solve A x = b exactly for square nonsingular A over the rationals."""
+    return tuple(row[0] for row in _gauss_jordan(a, [[x] for x in b]))
+
+
+def invert_rational(a: Sequence[Sequence[Fraction | int]]) -> tuple[QVec, ...]:
+    """Exact inverse of a square rational matrix, as a tuple of rows."""
+    n = len(a)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    return tuple(tuple(row) for row in _gauss_jordan(a, ident))
 
 
 def det_int(a: IntMatrix) -> int:

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
 from .intlinalg import IntMatrix, IntVec, cokernel_invariant_factors, integer_kernel, smith_normal_form
+from .rootsystem import RootSystem
 
 DEFAULT_BOX_CAP = 10_000_000
 DEFAULT_FRONTIER_CAP = 2_000_000
@@ -225,6 +226,31 @@ def hilbert_basis_kernel(
         if not any(b2 != b and all(b2[i] <= b[i] for i in range(s)) for b2 in basis)
     ]
     return HilbertBasis(graded_lex_sorted(basis))
+
+
+def family_monoid(rs: RootSystem) -> CongruenceMonoid:
+    """M = {m in Z+^rank : sum m_i w_i lies in the root lattice}, as congruences."""
+    fam, n = rs.rtype.family, rs.rank
+    if fam == "A":
+        return CongruenceMonoid(n, (Congruence(tuple(range(1, n + 1)), n + 1),))
+    if fam == "B":
+        return CongruenceMonoid(n, (Congruence((0,) * (n - 1) + (1,), 2),))
+    if fam == "C":
+        return CongruenceMonoid(n, (Congruence(tuple(i % 2 for i in range(1, n + 1)), 2),))
+    if fam == "D":
+        parity = tuple((1 if i % 2 else 0) for i in range(1, n - 1))
+        c1 = Congruence((0,) * (n - 2) + (1, 1), 2)
+        if n % 2 == 0:
+            c2 = Congruence(parity + ((n // 2 + 1) % 2, (n // 2) % 2), 2)
+        else:
+            c2 = Congruence(tuple(2 * x for x in parity) + ((n + 2) % 4, n % 4), 4)
+        return CongruenceMonoid(n, (c1, c2))
+    if fam == "E" and n == 6:
+        return CongruenceMonoid(6, (Congruence((1, 0, 2, 0, 1, 2), 3),))
+    if fam == "E" and n == 7:
+        return CongruenceMonoid(7, (Congruence((0, 1, 0, 0, 1, 0, 1), 2),))
+    # weight lattice equals root lattice: no conditions
+    return CongruenceMonoid(n, ())
 
 
 def split_free_part(m: CongruenceMonoid) -> tuple[tuple[int, ...], CongruenceMonoid]:

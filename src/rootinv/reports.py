@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 
+from .classgroup import class_group
 from .errors import InvalidRank
 from .intlinalg import IntVec
 from .laurent import LaurentPoly, alpha_ring, is_invariant, orbit_sum_weight_coords
 from .monoids import (
+    DEFAULT_BOX_CAP,
     Congruence,
     CongruenceMonoid,
     HilbertBasis,
+    family_monoid,
     graded_lex_sorted,
     hilbert_basis_box,
     hironaka_cells,
@@ -67,31 +69,6 @@ def omega_description(m: IntVec) -> str:
     return "*".join(bits) if bits else "1"
 
 
-def family_monoid(rs: RootSystem) -> CongruenceMonoid:
-    """M = {m in Z+^rank : sum m_i w_i lies in the root lattice}, as congruences."""
-    fam, n = rs.rtype.family, rs.rank
-    if fam == "A":
-        return CongruenceMonoid(n, (Congruence(tuple(range(1, n + 1)), n + 1),))
-    if fam == "B":
-        return CongruenceMonoid(n, (Congruence((0,) * (n - 1) + (1,), 2),))
-    if fam == "C":
-        return CongruenceMonoid(n, (Congruence(tuple(i % 2 for i in range(1, n + 1)), 2),))
-    if fam == "D":
-        parity = tuple((1 if i % 2 else 0) for i in range(1, n - 1))
-        c1 = Congruence((0,) * (n - 2) + (1, 1), 2)
-        if n % 2 == 0:
-            c2 = Congruence(parity + ((n // 2 + 1) % 2, (n // 2) % 2), 2)
-        else:
-            c2 = Congruence(tuple(2 * x for x in parity) + ((n + 2) % 4, n % 4), 4)
-        return CongruenceMonoid(n, (c1, c2))
-    if fam == "E" and n == 6:
-        return CongruenceMonoid(6, (Congruence((1, 0, 2, 0, 1, 2), 3),))
-    if fam == "E" and n == 7:
-        return CongruenceMonoid(7, (Congruence((0, 1, 0, 0, 1, 0, 1), 2),))
-    # weight lattice equals root lattice: no conditions
-    return CongruenceMonoid(n, ())
-
-
 def monoid_from_weight_lattice(rs: RootSystem) -> CongruenceMonoid:
     """Independent derivation of the same monoid from a Smith form of the Cartan matrix.
 
@@ -112,20 +89,20 @@ def _build_report(
     rs: RootSystem,
     monoid: CongruenceMonoid,
     structure: str,
-    note: str,
     secondary_names: dict[IntVec, str] | None = None,
+    box_cap: int = DEFAULT_BOX_CAP,
 ) -> InvariantReport:
     z = monoid.generator_orders()
     if z != rs.weight_orders:
         raise AssertionError("congruence orders disagree with weight orders mod the root lattice")
-    hb = hilbert_basis_box(monoid)
+    hb = hilbert_basis_box(monoid, box_cap)
     primaries = graded_lex_sorted(
         tuple(zi if j == i else 0 for j in range(monoid.dim)) for i, zi in enumerate(z)
     )
     prim_set = set(primaries)
     secondaries = tuple(h for h in hb if h not in prim_set)
     free, residual = split_free_part(monoid)
-    cells = hironaka_cells(monoid)
+    cells = hironaka_cells(monoid, box_cap)
     polynomial = len(hb) == monoid.dim
     gens = []
     names = secondary_names or {}
@@ -150,7 +127,8 @@ def _build_report(
         generators=tuple(gens),
         laurent_unit=None,
         structure=structure,
-        class_group_note=note,
+        # cap=0: decided on the root reflections alone, without enumerating W
+        class_group_note=class_group(rs, cap=0).name,
     )
 
 
@@ -158,29 +136,28 @@ def _nonzero_pos(v: IntVec) -> int:
     return next(k for k, x in enumerate(v) if x)
 
 
-def report_A(n: int) -> InvariantReport:
+def report_A(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     """Invariants of the rank-(n-1) root lattice under the symmetric group S_n."""
     if n < 2:
         raise InvalidRank("need n >= 2")
     rs = build(RootSystemType("A", n - 1))
     m = family_monoid(rs)
-    note = "0" if n == 2 else f"Z/{n}"
     deg = "polynomial ring" if n == 2 else "non-free monoid algebra"
-    return _build_report(rs, m, f"{deg}; congruence sum(i*l_i) = 0 mod {n}", note)
+    return _build_report(rs, m, f"{deg}; congruence sum(i*l_i) = 0 mod {n}", box_cap=box_cap)
 
 
-def report_B(n: int) -> InvariantReport:
+def report_B(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType("B", n))
     m = family_monoid(rs)
     return _build_report(
         rs,
         m,
         "polynomial ring on the elementary symmetric functions of x_j + 1/x_j",
-        "0",
+        box_cap=box_cap,
     )
 
 
-def report_C(n: int) -> InvariantReport:
+def report_C(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType("C", n))
     m = family_monoid(rs)
     names = {}
@@ -188,55 +165,53 @@ def report_C(n: int) -> InvariantReport:
         if i % 2 and j % 2:
             v = tuple(1 if k in (i, j) else 0 for k in range(1, n + 1))
             names[v] = f"g{i}_{j}"
-    note = "0" if n == 2 else "Z/2"
     return _build_report(
         rs,
         m,
         "free part on even coordinates; residual second-Veronese-type factor on odd ones",
-        note,
         names,
+        box_cap,
     )
 
 
-def report_D(n: int) -> InvariantReport:
+def report_D(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType("D", n))
     m = family_monoid(rs)
     names: dict[IntVec, str] = {}
     for v, nm in _d_secondary_names(n):
         names[v] = nm
-    note = "Z/4" if n % 2 else "Z/2 x Z/2"
     return _build_report(
         rs,
         m,
         "free part on even coordinates; residual factor mixing the two half-spin coordinates",
-        note,
         names,
+        box_cap,
     )
 
 
-def report_E6() -> InvariantReport:
+def report_E6(box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType("E", 6))
     m = family_monoid(rs)
     return _build_report(
         rs,
         m,
         "two free coordinates (w2, w4); rank-4 residual with congruence k1+2k2+k3+2k4 = 0 mod 3",
-        "Z/3",
+        box_cap=box_cap,
     )
 
 
-def report_E7() -> InvariantReport:
+def report_E7(box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType("E", 7))
     m = family_monoid(rs)
     return _build_report(
         rs,
         m,
         "four free coordinates (w1, w3, w4, w6); residual = second Veronese on three variables",
-        "Z/2",
+        box_cap=box_cap,
     )
 
 
-def report_selfdual(name: str) -> InvariantReport:
+def report_selfdual(name: str, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType.parse(name))
     if rs.weight_orders != (1,) * rs.rank:
         raise InvalidRank(f"{name} does not have weight lattice equal to root lattice")
@@ -245,7 +220,7 @@ def report_selfdual(name: str) -> InvariantReport:
         rs,
         m,
         "polynomial ring on the fundamental-weight orbit sums",
-        "0",
+        box_cap=box_cap,
     )
 
 

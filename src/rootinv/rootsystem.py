@@ -335,14 +335,6 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     )
 
 
-def fundamental_weights_alpha_coords(rs: RootSystem) -> tuple[QVec, ...]:
-    return rs.fundamental_weights_alpha
-
-
-def weight_orders_mod_root_lattice(rs: RootSystem) -> tuple[int, ...]:
-    return rs.weight_orders
-
-
 def root_alpha_coords(rs: RootSystem, beta: QVec) -> tuple[int, ...]:
     """Integer simple-root coordinates of a root."""
     c = rs.alpha_coords(beta)

@@ -14,20 +14,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
-from .intlinalg import (
-    IntMatrix,
-    RatVector,
-    cokernel_invariant_factors,
-    integer_kernel,
-    rank_int,
-    solve_exact,
-)
+from .intlinalg import IntMatrix, RatVector, rank_int, smith_normal_form
 from .rootsystem import RootSystem, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -307,78 +299,53 @@ def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylEleme
     return tuple(found)
 
 
+def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The |Phi+| root reflections, the reflections of W, in integer arithmetic.
+
+    Closes the simple roots under the simple reflections inside the positive
+    roots (in simple-root coordinates), carrying s_beta along by the
+    conjugation s_{s_i beta} = s_i s_beta s_i.
+    """
+    n = rs.rank
+    cart = rs.cartan.rows
+    simple = [np.array(s.matrix, dtype=np.int64) for s in simple_reflections(rs)]
+    found = {}
+    for i in range(n):
+        found[tuple(int(i == j) for j in range(n))] = simple[i]
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for beta in frontier:
+            for i in range(n):
+                # s_i beta = beta - <beta, alpha_i^vee> alpha_i; negative only for beta = alpha_i
+                bi = beta[i] - sum(c * b for c, b in zip(cart[i], beta))
+                img = beta[:i] + (bi,) + beta[i + 1 :]
+                if bi >= 0 and img not in found:
+                    found[img] = simple[i] @ found[beta] @ simple[i]
+                    nxt.append(img)
+        frontier = nxt
+    if 2 * len(found) != len(rs.roots):
+        raise AssertionError(f"found {len(found)} positive roots, expected {len(rs.roots) // 2}")
+    out = [WeylElement(m.tolist()) for m in found.values()]
+    out.sort(key=WeylElement.sort_key)
+    return tuple(out)
+
+
 def h1_cyclic2(w: WeylElement) -> int:
-    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w."""
-    n = w.n
+    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w.
+
+    ker(1+w) is the saturation of im(1-w), so the quotient is the torsion of
+    coker(1-w): the product of the nonzero Smith invariants of 1-w.
+    """
     if not (w * w).is_identity():
         raise NotInvolution("element does not square to the identity")
-    m = w.matrix
-    if w.is_identity():
-        return 1
-    plus = IntMatrix.from_rows(
-        [[(1 if i == j else 0) + m[i][j] for j in range(n)] for i in range(n)]
-    )
-    minus_cols = [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-    kern = integer_kernel(plus)  # basis of the anti-invariant sublattice
-    k = len(kern)
-    if k == 0:
-        return 1
-    # express the columns of (1 - w) in the kernel basis; integrality is automatic
-    basis_rows = [[kern[b][i] for b in range(k)] for i in range(n)]
-    # pick k independent rows to solve against
-    sq_rows = _independent_rows(basis_rows, k)
-    sq = [basis_rows[i] for i in sq_rows]
-    coords = []
-    for j in range(n):
-        col = [minus_cols[i][j] for i in range(n)]
-        x = solve_exact(sq, [col[i] for i in sq_rows])
-        if any(xx.denominator != 1 for xx in x):
-            raise AssertionError("image is not inside the anti-invariant lattice")
-        # verify on the full (possibly overdetermined) system
-        for i in range(n):
-            if sum(basis_rows[i][b] * x[b] for b in range(k)) != col[i]:
-                raise AssertionError("inconsistent solve in H^1 computation")
-        coords.append(tuple(int(xx) for xx in x))
-    quotient = IntMatrix.from_rows([[coords[j][b] for j in range(n)] for b in range(k)])
-    fac = cokernel_invariant_factors(quotient)
+    n, m = w.n, w.matrix
+    minus = IntMatrix.from_rows([[(i == j) - m[i][j] for j in range(n)] for i in range(n)])
     out = 1
-    for f in fac:
-        out *= f
+    for d in smith_normal_form(minus).diagonal:
+        if d:
+            out *= d
     return out
-
-
-def _independent_rows(rows: list[list[int]], k: int) -> list[int]:
-    """Indices of k Q-linearly independent rows (assumes rank k)."""
-    chosen: list[int] = []
-    cur: list[list[Fraction]] = []
-    for idx, r in enumerate(rows):
-        cand = cur + [[Q(x) for x in r]]
-        if _rank_q(cand) == len(cand):
-            chosen.append(idx)
-            cur = cand
-            if len(chosen) == k:
-                return chosen
-    raise AssertionError("kernel basis is rank deficient")
-
-
-def _rank_q(rows: list[list[Fraction]]) -> int:
-    m = [r[:] for r in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, len(m)) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        m[row] = [x / m[row][col] for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)
@@ -397,89 +364,23 @@ class DiagonalizableReflections:
 def diagonalizable_reflection_subgroup(
     rs: RootSystem, cap: int = DEFAULT_GROUP_CAP
 ) -> DiagonalizableReflections:
-    """Subgroup generated by reflections with nontrivial H^1 (diagonalizable ones)."""
+    """Subgroup generated by reflections with nontrivial H^1 (diagonalizable ones).
+
+    The reflections of W are its root reflections, so those are the ones
+    examined, for every type.  The method label says how they were checked:
+
+    - ``"exhaustive-scan"``: |W| <= cap, and a reflection scan over all of W
+      found exactly the root reflections (AssertionError otherwise);
+    - ``"family-fallback"``: |W| > cap, and W was not enumerated.
+    """
+    refl = root_reflections(rs)
+    method = "family-fallback"
     if rs.weyl_order <= cap:
-        refl = reflections(rs, cap)
-        diag = tuple(r for r in refl if h1_cyclic2(r) == 2)
-        return DiagonalizableReflections(len(diag), diag, "exhaustive-scan")
-    return _diagonalizable_fallback(rs)
-
-
-def _diagonalizable_fallback(rs: RootSystem) -> DiagonalizableReflections:
-    """Conjugacy-class analysis for groups above the enumeration cap.
-
-    Reflections of a Weyl group are the root reflections; H^1 is constant on
-    conjugacy classes, so one representative per root length suffices.  For
-    the C/D families the rank-4 subcheck that no mixed signed double
-    transposition is a lattice reflection is re-run explicitly.
-    """
-    fam, n = rs.rtype.family, rs.rank
-    simples = simple_reflections(rs)
-    if fam == "A":
-        if h1_cyclic2(simples[0]) != 1:
-            raise AssertionError("unexpected H^1 for a transposition reflection")
-        return DiagonalizableReflections(0, (), "family-fallback")
-    if fam == "B":
-        short = [reflection_in_root(rs, _unit_vec(n, i)) for i in range(n)]
-        if any(h1_cyclic2(r) != 2 for r in short):
-            raise AssertionError("sign-change reflections must be diagonalizable")
-        if h1_cyclic2(simples[0]) != 1:
-            raise AssertionError("long reflections of B_n are not diagonalizable")
-        return DiagonalizableReflections(n, tuple(short), "family-fallback")
-    if fam in ("C", "D"):
-        reps = [simples[0], simples[-1]]
-        if fam == "D":
-            reps.append(simples[-2])
-        if any(h1_cyclic2(r) != 1 for r in reps):
-            raise AssertionError("unexpected diagonalizable root reflection")
-        _check_mixed_rank4()
-        return DiagonalizableReflections(0, (), "family-fallback")
-    if fam == "E" and n == 8:
-        if h1_cyclic2(simples[0]) != 1:
-            raise AssertionError("unexpected H^1 in the simply-laced class")
-        return DiagonalizableReflections(0, (), "family-fallback")
-    raise GroupCapExceeded(f"no fallback available for {rs.rtype.name}")
-
-
-def _check_mixed_rank4() -> None:
-    """No product (sign change) x (double transposition) is a lattice reflection.
-
-    Checked on the rank-4 signed permutation group, where such elements
-    first appear; conjugation reduces the general case to this one.
-    """
-    from .rootsystem import RootSystemType, build
-    import warnings as _w
-
-    with _w.catch_warnings():
-        _w.simplefilter("ignore")
-        rs4 = build(RootSystemType("C", 4))
-    perms = [(1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
-    for perm in perms:
-        for bits in range(16):
-            signs = tuple(1 if not (bits >> i) & 1 else -1 for i in range(4))
-            w = element_from_signed_permutation(rs4, perm, signs)
-            if is_reflection(w):
-                raise AssertionError("mixed signed double transposition acts as a reflection")
-
-
-def _unit_vec(n: int, i: int) -> tuple[Fraction, ...]:
-    return tuple(Q(1) if k == i else Q(0) for k in range(n))
-
-
-def element_from_signed_permutation(
-    rs: RootSystem, perm: Sequence[int], signs: Sequence[int]
-) -> WeylElement:
-    """Matrix of e_i -> signs[i] * e_{perm[i]} in simple-root coordinates."""
-    cols = []
-    for a in rs.simple_roots:
-        img = [Q(0)] * rs.ambient_dim
-        for i, x in enumerate(a):
-            img[perm[i]] += signs[i] * x
-        c = rs.alpha_coords(tuple(img))
-        if any(x.denominator != 1 for x in c):
-            raise ValueError("signed permutation does not preserve the root lattice")
-        cols.append(tuple(int(x) for x in c))
-    return WeylElement(tuple(zip(*cols)))
+        if reflections(rs, cap) != refl:
+            raise AssertionError(f"{rs.rtype.name}: the reflection scan disagrees with the root reflections")
+        method = "exhaustive-scan"
+    diag = tuple(r for r in refl if h1_cyclic2(r) == 2)
+    return DiagonalizableReflections(len(diag), diag, method)
 
 
 def ambient_action(rs: RootSystem, w: WeylElement, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:

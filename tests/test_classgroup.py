@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import warnings
 
-import pytest
-
 from rootinv.classgroup import (
     AbelianGroupStructure,
     class_group,
@@ -100,11 +98,12 @@ def test_result_fields():
     assert res.name == res.group.name
 
 
-def test_e7_has_no_cheap_fallback():
-    # below the enumeration cap there is no family shortcut for E7; the
-    # exhaustive scan is exercised in the acceptance suite instead
-    from rootinv.errors import GroupCapExceeded
-
-    with pytest.raises(GroupCapExceeded):
-        class_group(_rs("E7"), cap=1000)
+def test_root_route_above_the_cap():
+    # above the enumeration cap the root reflections alone decide, for every type
+    want = {"B7": 7, "B8": 8, "C8": 0, "D8": 0, "E6": 0, "E7": 0, "E8": 0}
+    for name, rank in want.items():
+        res = class_group(_rs(name), cap=1000)
+        assert res.diagonalizable_rank == rank, name
+        assert res.method == "family-fallback", name
+    assert class_group(_rs("E7"), cap=1000).name == "Z/2"
     assert weight_quotient(_rs("E7")).name == "Z/2"

@@ -85,6 +85,8 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "info", "E", "9")[0] == 2
     assert run_cli(capsys, "hilbert", "--ker", "1 a")[0] == 2
     assert run_cli(capsys, "hilbert", "--monoid", "/nonexistent/file")[0] == 2
+    assert run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", "0")[0] == 2
+    assert run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", "-1")[0] == 2
     with pytest.raises(SystemExit) as ei:
         cli.main(["bogus-command"])
     assert ei.value.code == 2
@@ -113,12 +115,17 @@ def test_classgroup_fallback(capsys):
     assert p["toric_cross_check"] == "agree"
 
 
-def test_thread_count(monkeypatch):
-    monkeypatch.setenv("ROOTINV_THREADS", "4")
-    assert cli._thread_count() == 4
-    monkeypatch.setenv("ROOTINV_THREADS", "abc")
-    assert cli._thread_count() == 1
-    monkeypatch.setenv("ROOTINV_THREADS", "0")
-    assert cli._thread_count() == 1
-    monkeypatch.delenv("ROOTINV_THREADS")
-    assert cli._thread_count() == 1
+def test_invariants_honours_box_cap(capsys):
+    code = cli.main(["invariants", "A", "3", "--box-cap", "3"])
+    assert code == 1
+    assert "cap is 3" in capsys.readouterr().err
+
+
+def test_report_never_enumerates_the_group(capsys, monkeypatch):
+    def refuse(rs):
+        raise AssertionError("the report path enumerated W")
+
+    monkeypatch.setattr("rootinv.weyl._group_levels", refuse)
+    code, out = run_cli(capsys, "invariants", "E", "7")
+    assert code == 0
+    assert json.loads(out)["payload"]["class_group"] == "Z/2"

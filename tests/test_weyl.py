@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
-from rootinv.intlinalg import IntMatrix
+from rootinv.intlinalg import IntMatrix, rank_int
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
     diagonalizable_reflection_subgroup,
-    element_from_signed_permutation,
     enumerate_group,
     group_order_bfs,
     h1_cyclic2,
@@ -20,6 +21,7 @@ from rootinv.weyl import (
     orbit_weight_coords,
     reflection_in_root,
     reflections,
+    root_reflections,
     simple_reflections,
 )
 
@@ -192,12 +194,52 @@ def test_fallback_agrees_with_scan():
         assert scan.rank == fallback.rank, name
 
 
-def test_signed_permutation_constructor():
-    rs = build("B", 3)
-    w = element_from_signed_permutation(rs, [1, 0, 2], [1, 1, -1])
-    assert (w * w).is_identity()
-    assert w in enumerate_group(rs)
-    with pytest.raises(ValueError):
-        # an odd sign pattern under a plain permutation is not in W(D_3)
-        d = build("A", 3)
-        element_from_signed_permutation(d, [0, 1, 2, 3], [1, 1, 1, -1])
+def _types(*names):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return [build(RootSystemType.parse(name)) for name in names]
+
+
+def test_root_reflections_match_the_fraction_reference():
+    names = [f"A{r}" for r in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    names += [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    for rs in _types(*names):
+        positive = [beta for beta in rs.roots if min(rs.alpha_coords(beta)) >= 0]
+        want = {reflection_in_root(rs, beta) for beta in positive}
+        got = root_reflections(rs)
+        assert len(got) == len(want) == len(positive), rs.rtype.name
+        assert set(got) == want, rs.rtype.name
+
+
+def _rank_f2(rows):
+    m = [[x % 2 for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                m[i] = [(x + y) % 2 for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_h1_matches_the_c2_lattice_classification():
+    # A Z[C2]-lattice is a sum of trivial, sign and regular summands; H^1 is
+    # (Z/2)^(sign count), and the sign count is rank_Q(1-w) - rank_F2(1-w).
+    names = ["A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
+    count = 0
+    for rs in _types(*names):
+        n = rs.rank
+        for w in enumerate_group(rs):
+            if not (w * w).is_identity():
+                continue
+            m = w.matrix
+            minus = [[(i == j) - m[i][j] for j in range(n)] for i in range(n)]
+            want = 2 ** (rank_int(IntMatrix.from_rows(minus)) - _rank_f2(minus))
+            assert h1_cyclic2(w) == want, (rs.rtype.name, m)
+            count += 1
+    assert count == 562

@@ -24,6 +24,7 @@ from .relations import Binomial, relations_bounded, relations_equivalent, verify
 from .reports import (
     InvariantReport,
     family_monoid,
+    report,
     report_A,
     report_B,
     report_C,
@@ -69,6 +70,7 @@ __all__ = [
     "reflections",
     "relations_bounded",
     "relations_equivalent",
+    "report",
     "report_A",
     "report_B",
     "report_C",

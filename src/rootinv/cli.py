@@ -42,13 +42,7 @@ from .reports import (
     expected_generators_D,
     family_monoid,
     omega_expand,
-    report_A,
-    report_B,
-    report_C,
-    report_D,
-    report_E6,
-    report_E7,
-    report_selfdual,
+    report,
     veronese_structure,
 )
 from .rootsystem import RootSystemType, build
@@ -56,9 +50,8 @@ from .weyl import DEFAULT_GROUP_CAP, DEFAULT_ORBIT_CAP, group_order_bfs
 
 SCHEMA_VERSION = "1"
 
-# Shipped relation fixtures, keyed by type name, with the regeneration
-# degree bound needed to reach every fixture relation.
-_FIXTURES = {"A2": ("a2", 3), "A3": ("a3_magma", 4), "E6": ("e6_magma", 3)}
+# Shipped relation fixtures, keyed by type name.
+_FIXTURES = {"A2": "a2", "A3": "a3_magma", "E6": "e6_magma"}
 
 
 def _document(command: str, payload: dict) -> dict:
@@ -71,22 +64,6 @@ def _emit(doc: dict) -> None:
 
 def _parse_type(args: argparse.Namespace) -> RootSystemType:
     return RootSystemType.parse(args.type, args.rank)
-
-
-def _report_for(t: RootSystemType, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    if t.family == "A":
-        return report_A(t.rank + 1, box_cap)
-    if t.family == "B":
-        return report_B(t.rank, box_cap)
-    if t.family == "C":
-        return report_C(t.rank, box_cap)
-    if t.family == "D":
-        return report_D(t.rank, box_cap)
-    if t.name == "E6":
-        return report_E6(box_cap)
-    if t.name == "E7":
-        return report_E7(box_cap)
-    return report_selfdual(t.name, box_cap)
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -124,8 +101,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     t = _parse_type(args)
     if args.degree_bound is not None and args.degree_bound < 1:
         raise ValueError(f"--degree-bound must be at least 1, got {args.degree_bound}")
-    rep = _report_for(t, args.box_cap)
     rs = build(t)
+    rep = report(rs, args.box_cap)
     failed = False
     payload = {
         "type": t.name,
@@ -153,34 +130,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         payload["hironaka_cells"] = [list(c) for c in rep.cells]
         payload["hironaka_cell_count"] = len(rep.cells)
     if args.relations:
-        fixture = _FIXTURES.get(t.name)
-        bound = args.degree_bound or (fixture[1] if fixture else 3)
-        if rep.residual is not None:
-            rel_basis = hilbert_basis_box(rep.residual, args.box_cap).elements
-        else:
-            rel_basis = rep.hilbert_basis.elements
-        rel_basis = graded_lex_sorted(rel_basis)
-        rels = relations_bounded(rel_basis, bound)
-        block = {
-            "degree_bound": bound,
-            "generators": [list(v) for v in rel_basis],
-            "binomials": [r.format() for r in rels],
-            "count": len(rels),
-        }
-        if fixture:
-            fx = load_fixture(fixture[0])
-            relabeled = fx.relabeled(rel_basis)
-            ok_equiv = relations_equivalent(rels, relabeled, rel_basis, bound)
-            ok_verify = all(verify_relation(rel_basis, r) for r in relabeled)
-            block["fixture"] = {
-                "name": fixture[0],
-                "relation_count": len(relabeled),
-                "equivalent": ok_equiv,
-                "all_relations_verify": ok_verify,
-            }
-            if not (ok_equiv and ok_verify):
-                failed = True
-        payload["relations"] = block
+        payload["relations"] = _relations_block(t.name, rep, args.degree_bound, args.box_cap)
+        fx = payload["relations"].get("fixture")
+        failed = fx is not None and not (fx["equivalent"] and fx["all_relations_verify"])
     if args.expand:
         expansions = []
         truncated = False
@@ -196,6 +148,41 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             payload["expansion_truncated"] = True
     _emit(_document(f"invariants {t.name}", payload))
     return 1 if failed else 0
+
+
+def _relations_block(
+    type_name: str, rep: InvariantReport, degree_bound: int | None, box_cap: int
+) -> dict:
+    """Binomial relations of the generators up to a degree bound, against the shipped fixture.
+
+    The generators are the residual's Hilbert basis, or else the full one.  The
+    default bound is the fixture's highest relation degree (3 without a fixture).
+    Equivalence is claimed only at a bound that reaches every fixture relation.
+    """
+    name = _FIXTURES.get(type_name)
+    fixture = load_fixture(name) if name else None
+    top = max(r.degree() for r in fixture.relations) if fixture else 3
+    bound = degree_bound or top
+    if rep.residual is not None:
+        basis = graded_lex_sorted(hilbert_basis_box(rep.residual, box_cap))
+    else:
+        basis = graded_lex_sorted(rep.hilbert_basis)
+    rels = relations_bounded(basis, bound)
+    block = {
+        "degree_bound": bound,
+        "generators": [list(v) for v in basis],
+        "binomials": [r.format() for r in rels],
+        "count": len(rels),
+    }
+    if fixture:
+        fx = fixture.relabeled(basis)
+        block["fixture"] = {
+            "name": name,
+            "relation_count": len(fx),
+            "equivalent": bound >= top and relations_equivalent(rels, fx, basis, bound),
+            "all_relations_verify": all(verify_relation(basis, r) for r in fx),
+        }
+    return block
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
@@ -282,24 +269,13 @@ def _expect(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-def _check_kernel_3var() -> str:
-    basis = set(hilbert_basis_kernel(KernelInstance((1, 2, -3))))
-    _expect(basis == _KERNEL_3VAR, f"got {sorted(basis)}")
-    return "3 vectors"
-
-
-def _check_kernel_4var() -> str:
-    basis = set(hilbert_basis_kernel(KernelInstance((1, 2, 3, -4))))
-    _expect(basis == _KERNEL_4VAR, f"got {sorted(basis)}")
-    return "6 vectors"
-
-
-def _check_kernel_e6() -> str:
-    basis = set(hilbert_basis_kernel(KernelInstance((1, 2, 1, 2, -3))))
-    _expect(basis == _KERNEL_E6, f"got {sorted(basis)}")
-    dropped = {v[:-1] for v in basis}
-    _expect(dropped == set(e6_residual_hilbert_basis()), "projection mismatch")
-    return "12 vectors; projection matches residual basis"
+def _check_kernel(row: tuple[int, ...], want: set, residual=None) -> str:
+    basis = set(hilbert_basis_kernel(KernelInstance(row)))
+    _expect(basis == want, f"got {sorted(basis)}")
+    if residual is None:
+        return f"{len(want)} vectors"
+    _expect({v[:-1] for v in basis} == set(residual), "projection mismatch")
+    return f"{len(want)} vectors; projection matches residual basis"
 
 
 def _check_box_kernel_agreement() -> str:
@@ -327,54 +303,20 @@ def _check_a2_identities() -> str:
 
 
 def _relation_check(type_name: str) -> str:
-    name, bound = _FIXTURES[type_name]
-    rep = _report_for(RootSystemType.parse(type_name))
-    if rep.residual is not None:
-        basis = hilbert_basis_box(rep.residual).elements
-    else:
-        basis = rep.hilbert_basis.elements
-    basis = graded_lex_sorted(basis)
-    rels = relations_bounded(basis, bound)
-    fx = load_fixture(name).relabeled(basis)
-    _expect(all(verify_relation(basis, r) for r in fx), "a fixture relation fails")
-    _expect(relations_equivalent(rels, fx, basis, bound), "regeneration not equivalent")
-    return f"{len(fx)} fixture relations verified; regeneration of {len(rels)} equivalent"
+    block = _relations_block(type_name, report(build(type_name)), None, DEFAULT_BOX_CAP)
+    fx = block["fixture"]
+    _expect(fx["all_relations_verify"], "a fixture relation fails")
+    _expect(fx["equivalent"], "regeneration not equivalent")
+    count = block["count"]
+    return f"{fx['relation_count']} fixture relations verified; regeneration of {count} equivalent"
 
 
-def _check_relations_a2() -> str:
-    return _relation_check("A2")
-
-
-def _check_relations_a3() -> str:
-    return _relation_check("A3")
-
-
-def _check_relations_e6() -> str:
-    return _relation_check("E6")
-
-
-def _check_generator_counts_C() -> str:
-    for n in range(2, 13):
-        rep = report_C(n)
-        _expect(
-            rep.generator_count == expected_generator_count_C(n),
-            f"C{n}: {rep.generator_count}",
-        )
-        want = set(expected_generators_C(n))
-        _expect(set(rep.hilbert_basis) == want, f"C{n}: basis mismatch")
-    return "n = 2..12"
-
-
-def _check_generator_counts_D() -> str:
-    for n in range(4, 13):
-        rep = report_D(n)
-        _expect(
-            rep.generator_count == expected_generator_count_D(n),
-            f"D{n}: {rep.generator_count}",
-        )
-        want = set(expected_generators_D(n))
-        _expect(set(rep.hilbert_basis) == want, f"D{n}: basis mismatch")
-    return "n = 4..12"
+def _check_generator_counts(family: str, ranks: range, count, generators) -> str:
+    for n in ranks:
+        rep = report(build(family, n))
+        _expect(rep.generator_count == count(n), f"{family}{n}: {rep.generator_count}")
+        _expect(set(rep.hilbert_basis) == set(generators(n)), f"{family}{n}: basis mismatch")
+    return f"n = {ranks[0]}..{ranks[-1]}"
 
 
 def _check_e7_veronese() -> str:
@@ -382,7 +324,7 @@ def _check_e7_veronese() -> str:
     _expect(len(residual) == 6, "residual basis size")
     ver = veronese_structure(3)
     _expect(set(ver.generators) == residual, "not the quadratic Veronese generators")
-    rep = report_E7()
+    rep = report(build("E", 7))
     _expect(len(rep.free_coordinates) == 4, "free coordinate count")
     _expect(rep.generator_count == 10, "total generator count")
     return "6 residual generators = Veronese d=3; report 4 free + 6"
@@ -448,38 +390,43 @@ def _check_hironaka_partition() -> str:
     return f"{total} monoid elements reduced to unique cells"
 
 
-def _check_weyl_e6() -> str:
-    n = group_order_bfs(build(RootSystemType("E", 6)))
-    _expect(n == 51840, f"got {n}")
-    return "|W(E6)| = 51840 by closure"
-
-
-def _check_weyl_e7() -> str:
-    n = group_order_bfs(build(RootSystemType("E", 7)))
-    _expect(n == 2903040, f"got {n}")
-    return "|W(E7)| = 2903040 by closure"
+def _check_weyl_order(type_name: str, want: int) -> str:
+    n = group_order_bfs(build(type_name))
+    _expect(n == want, f"got {n}")
+    return f"|W({type_name})| = {want} by closure"
 
 
 def _selfcheck_list(include_e7: bool, group_cap: int):
     checks = [
-        ("hilbert-kernel-3var", _check_kernel_3var),
-        ("hilbert-kernel-4var", _check_kernel_4var),
-        ("hilbert-kernel-e6", _check_kernel_e6),
+        ("hilbert-kernel-3var", lambda: _check_kernel((1, 2, -3), _KERNEL_3VAR)),
+        ("hilbert-kernel-4var", lambda: _check_kernel((1, 2, 3, -4), _KERNEL_4VAR)),
+        (
+            "hilbert-kernel-e6",
+            lambda: _check_kernel((1, 2, 1, 2, -3), _KERNEL_E6, e6_residual_hilbert_basis()),
+        ),
         ("box-kernel-agreement", _check_box_kernel_agreement),
         ("a2-identity-suite", _check_a2_identities),
-        ("relations-a2", _check_relations_a2),
-        ("relations-a3", _check_relations_a3),
-        ("relations-e6", _check_relations_e6),
-        ("generator-counts-C", _check_generator_counts_C),
-        ("generator-counts-D", _check_generator_counts_D),
+        *((f"relations-{t.lower()}", lambda t=t: _relation_check(t)) for t in _FIXTURES),
+        (
+            "generator-counts-C",
+            lambda: _check_generator_counts(
+                "C", range(2, 13), expected_generator_count_C, expected_generators_C
+            ),
+        ),
+        (
+            "generator-counts-D",
+            lambda: _check_generator_counts(
+                "D", range(4, 13), expected_generator_count_D, expected_generators_D
+            ),
+        ),
         ("e7-residual-veronese", _check_e7_veronese),
         ("class-group-table", lambda: _check_class_groups(include_e7, group_cap)),
         ("orbit-sum-invariance", _check_orbit_invariance),
         ("hironaka-partition", _check_hironaka_partition),
-        ("weyl-order-e6", _check_weyl_e6),
+        ("weyl-order-e6", lambda: _check_weyl_order("E6", 51840)),
     ]
     if include_e7:
-        checks.append(("weyl-order-e7", _check_weyl_e7))
+        checks.append(("weyl-order-e7", lambda: _check_weyl_order("E7", 2903040)))
     return checks
 
 

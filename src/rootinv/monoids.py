@@ -130,18 +130,22 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     Congruence form: first line the dimension, then one congruence per line
     as "a_1 ... a_n mod m".  Kernel form: a single line "ker: a_1 ... a_s".
     """
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip() and not ln.startswith("#")]
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]  # comments may be indented
     if not lines:
         raise ValueError("empty instance")
     if lines[0].lower().startswith("ker:"):
         coeffs = tuple(int(x) for x in lines[0][4:].split())
         return KernelInstance(coeffs)
     dim = int(lines[0])
+    if dim < 0:
+        raise ValueError(f"negative dimension {dim}")
     congs = []
     for ln in lines[1:]:
-        head, _, mod = ln.partition(" mod ")
-        coeffs = tuple(int(x) for x in head.split())
-        congs.append(Congruence(coeffs, int(mod)))
+        tokens = ln.split()  # a dimension-0 congruence is just "mod m"
+        if len(tokens) < 2 or tokens[-2] != "mod":
+            raise ValueError(f"expected 'a_1 ... a_n mod m', got {ln!r}")
+        congs.append(Congruence(tuple(int(x) for x in tokens[:-2]), int(tokens[-1])))
     return CongruenceMonoid(dim, tuple(congs))
 
 
@@ -321,10 +325,14 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
 
     Every monoid element must reduce (componentwise mod the generator orders)
     to exactly one cell, and distinct cells must stay distinct.  Returns the
-    number of elements checked; raises AssertionError on any violation.
+    number of elements checked; raises AssertionError on any violation, and
+    BoxCapExceeded before allocating a grid of more than box_cap points.
     """
     import numpy as np
 
+    grid_size = (bound + 1) ** m.dim
+    if grid_size > box_cap:
+        raise BoxCapExceeded(f"cell-partition grid has {grid_size} points, box cap is {box_cap}")
     cells = hironaka_cells(m, box_cap)
     if len(set(cells)) != len(cells):
         raise AssertionError("cells are not distinct")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 from .classgroup import class_group
 from .errors import InvalidRank
@@ -85,13 +86,68 @@ def monoid_from_weight_lattice(rs: RootSystem) -> CongruenceMonoid:
     return CongruenceMonoid(rs.rank, tuple(congs))
 
 
-def _build_report(
-    rs: RootSystem,
-    monoid: CongruenceMonoid,
-    structure: str,
-    secondary_names: dict[IntVec, str] | None = None,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> InvariantReport:
+def _odd_pair_names(n: int) -> list[tuple[IntVec, str]]:
+    """The products e_i + e_j of odd coordinates i < j <= n, named g{i}_{j}."""
+    return [
+        (tuple(1 if k in (i, j) else 0 for k in range(1, n + 1)), f"g{i}_{j}")
+        for i, j in combinations(range(1, n + 1, 2), 2)
+    ]
+
+
+def _d_secondary_names(n: int) -> list[tuple[IntVec, str]]:
+    """D_n secondaries: odd pairs below n-1, then products with the two half-spin coordinates."""
+    out = [(v + (0, 0), name) for v, name in _odd_pair_names(n - 2)]
+    for i in range(1, n - 1, 2):
+        v = [0] * n
+        v[i - 1] = 1
+        if n % 2 == 0:
+            v[n - 2] = v[n - 1] = 1
+            out.append((tuple(v), f"b{i}"))
+        else:
+            for last in (n - 1, n):
+                v2 = list(v)
+                v2[last - 1] = 2
+                out.append((tuple(v2), f"g{i}_{last}"))
+    if n % 2:
+        out.append((tuple(1 if k >= n - 1 else 0 for k in range(1, n + 1)), f"g{n - 1}_{n}"))
+    return out
+
+
+# What differs between types: the structure sentence and the rule naming
+# the secondary generators by rank (unnamed ones become q1, q2, ...).
+# Keyed by family letter, else by type name; every type not listed has
+# weight lattice = root lattice and takes the "selfdual" row.  The A text
+# names the ring and the order n of the symmetric group S_n.
+_TYPE_TABLE: dict[str, tuple[str, Callable[[int], list[tuple[IntVec, str]]] | None]] = {
+    "A": ("{ring}; congruence sum(i*l_i) = 0 mod {n}", None),
+    "B": ("polynomial ring on the elementary symmetric functions of x_j + 1/x_j", None),
+    "C": (
+        "free part on even coordinates; residual second-Veronese-type factor on odd ones",
+        _odd_pair_names,
+    ),
+    "D": (
+        "free part on even coordinates; residual factor mixing the two half-spin coordinates",
+        _d_secondary_names,
+    ),
+    "E6": (
+        "two free coordinates (w2, w4); rank-4 residual with congruence k1+2k2+k3+2k4 = 0 mod 3",
+        None,
+    ),
+    "E7": (
+        "four free coordinates (w1, w3, w4, w6); residual = second Veronese on three variables",
+        None,
+    ),
+    "selfdual": ("polynomial ring on the fundamental-weight orbit sums", None),
+}
+
+
+def report(rs: RootSystem, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
+    """The invariant algebra of the root lattice of rs under its Weyl group."""
+    t = rs.rtype
+    structure, name_rule = (
+        _TYPE_TABLE.get(t.family) or _TYPE_TABLE.get(t.name) or _TYPE_TABLE["selfdual"]
+    )
+    monoid = family_monoid(rs)
     z = monoid.generator_orders()
     if z != rs.weight_orders:
         raise AssertionError("congruence orders disagree with weight orders mod the root lattice")
@@ -105,16 +161,16 @@ def _build_report(
     cells = hironaka_cells(monoid, box_cap)
     polynomial = len(hb) == monoid.dim
     gens = []
-    names = secondary_names or {}
+    names = dict(name_rule(t.rank)) if name_rule else {}
     for h in hb:
         if h in prim_set:
-            i = next(k for k, x in enumerate(h) if x) + 1
-            role, name = "primary", f"p{i}"
+            role, name = "primary", f"p{_nonzero_pos(h) + 1}"
         else:
             role, name = "secondary", names.get(h, f"q{len(gens) + 1}")
         gens.append(GeneratorInfo(h, role, name, omega_description(h)))
+    ring = "polynomial ring" if polynomial else "non-free monoid algebra"
     return InvariantReport(
-        rtype=rs.rtype,
+        rtype=t,
         monoid=monoid,
         hilbert_basis=hb,
         primaries=primaries,
@@ -126,7 +182,7 @@ def _build_report(
         polynomial=polynomial,
         generators=tuple(gens),
         laurent_unit=None,
-        structure=structure,
+        structure=structure.format(ring=ring, n=t.rank + 1),
         # cap=0: decided on the root reflections alone, without enumerating W
         class_group_note=class_group(rs, cap=0).name,
     )
@@ -140,88 +196,34 @@ def report_A(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     """Invariants of the rank-(n-1) root lattice under the symmetric group S_n."""
     if n < 2:
         raise InvalidRank("need n >= 2")
-    rs = build(RootSystemType("A", n - 1))
-    m = family_monoid(rs)
-    deg = "polynomial ring" if n == 2 else "non-free monoid algebra"
-    return _build_report(rs, m, f"{deg}; congruence sum(i*l_i) = 0 mod {n}", box_cap=box_cap)
+    return report(build("A", n - 1), box_cap)
 
 
 def report_B(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    rs = build(RootSystemType("B", n))
-    m = family_monoid(rs)
-    return _build_report(
-        rs,
-        m,
-        "polynomial ring on the elementary symmetric functions of x_j + 1/x_j",
-        box_cap=box_cap,
-    )
+    return report(build("B", n), box_cap)
 
 
 def report_C(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    rs = build(RootSystemType("C", n))
-    m = family_monoid(rs)
-    names = {}
-    for i, j in combinations(range(1, n + 1), 2):
-        if i % 2 and j % 2:
-            v = tuple(1 if k in (i, j) else 0 for k in range(1, n + 1))
-            names[v] = f"g{i}_{j}"
-    return _build_report(
-        rs,
-        m,
-        "free part on even coordinates; residual second-Veronese-type factor on odd ones",
-        names,
-        box_cap,
-    )
+    return report(build("C", n), box_cap)
 
 
 def report_D(n: int, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    rs = build(RootSystemType("D", n))
-    m = family_monoid(rs)
-    names: dict[IntVec, str] = {}
-    for v, nm in _d_secondary_names(n):
-        names[v] = nm
-    return _build_report(
-        rs,
-        m,
-        "free part on even coordinates; residual factor mixing the two half-spin coordinates",
-        names,
-        box_cap,
-    )
+    return report(build("D", n), box_cap)
 
 
 def report_E6(box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    rs = build(RootSystemType("E", 6))
-    m = family_monoid(rs)
-    return _build_report(
-        rs,
-        m,
-        "two free coordinates (w2, w4); rank-4 residual with congruence k1+2k2+k3+2k4 = 0 mod 3",
-        box_cap=box_cap,
-    )
+    return report(build("E", 6), box_cap)
 
 
 def report_E7(box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
-    rs = build(RootSystemType("E", 7))
-    m = family_monoid(rs)
-    return _build_report(
-        rs,
-        m,
-        "four free coordinates (w1, w3, w4, w6); residual = second Veronese on three variables",
-        box_cap=box_cap,
-    )
+    return report(build("E", 7), box_cap)
 
 
 def report_selfdual(name: str, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     rs = build(RootSystemType.parse(name))
     if rs.weight_orders != (1,) * rs.rank:
         raise InvalidRank(f"{name} does not have weight lattice equal to root lattice")
-    m = family_monoid(rs)
-    return _build_report(
-        rs,
-        m,
-        "polynomial ring on the fundamental-weight orbit sums",
-        box_cap=box_cap,
-    )
+    return report(rs, box_cap)
 
 
 def report_B_sym(n: int) -> InvariantReport:
@@ -257,44 +259,13 @@ def report_B_sym(n: int) -> InvariantReport:
     )
 
 
-def _d_secondary_names(n: int) -> list[tuple[IntVec, str]]:
-    out = []
-    odd = [i for i in range(1, n - 1) if i % 2]
-    for i, j in combinations(odd, 2):
-        out.append((tuple(1 if k in (i, j) else 0 for k in range(1, n + 1)), f"g{i}_{j}"))
-    if n % 2 == 0:
-        for i in odd:
-            v = [0] * n
-            v[i - 1] = 1
-            v[n - 2] = 1
-            v[n - 1] = 1
-            out.append((tuple(v), f"b{i}"))
-    else:
-        for i in odd:
-            v = [0] * n
-            v[i - 1] = 1
-            v[n - 2] = 2
-            out.append((tuple(v), f"g{i}_{n - 1}"))
-            v2 = [0] * n
-            v2[i - 1] = 1
-            v2[n - 1] = 2
-            out.append((tuple(v2), f"g{i}_{n}"))
-        v3 = [0] * n
-        v3[n - 2] = 1
-        v3[n - 1] = 1
-        out.append((tuple(v3), f"g{n - 1}_{n}"))
-    return out
-
-
 def expected_generators_C(n: int) -> tuple[IntVec, ...]:
     """Theorem-side generator list for the C family: z_i e_i and odd pairs."""
     gens = []
     for i in range(1, n + 1):
         z = 2 if i % 2 else 1
         gens.append(tuple(z if k == i else 0 for k in range(1, n + 1)))
-    odd = [i for i in range(1, n + 1) if i % 2]
-    for i, j in combinations(odd, 2):
-        gens.append(tuple(1 if k in (i, j) else 0 for k in range(1, n + 1)))
+    gens.extend(v for v, _ in _odd_pair_names(n))
     return graded_lex_sorted(gens)
 
 

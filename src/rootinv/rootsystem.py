@@ -335,14 +335,6 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     )
 
 
-def root_alpha_coords(rs: RootSystem, beta: QVec) -> tuple[int, ...]:
-    """Integer simple-root coordinates of a root."""
-    c = rs.alpha_coords(beta)
-    if any(x.denominator != 1 for x in c):
-        raise ValueError("vector is not in the root lattice span with integer coords")
-    return tuple(int(x) for x in c)
-
-
 def sorted_ratvectors(vs) -> tuple[RatVector, ...]:
     """Canonical deterministic ordering for rational vector collections."""
     return tuple(sorted((RatVector.from_fractions(v) for v in vs), key=RatVector.sort_key))

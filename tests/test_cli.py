@@ -129,3 +129,11 @@ def test_report_never_enumerates_the_group(capsys, monkeypatch):
     code, out = run_cli(capsys, "invariants", "E", "7")
     assert code == 0
     assert json.loads(out)["payload"]["class_group"] == "Z/2"
+
+
+@pytest.mark.parametrize("bound", ["1", "3"])
+def test_fixture_equivalence_needs_every_fixture_degree(capsys, bound):
+    # a3_magma has relations up to degree 4: a lower bound checks too little
+    code, out = run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", bound)
+    assert code == 1
+    assert json.loads(out)["payload"]["relations"]["fixture"]["equivalent"] is False

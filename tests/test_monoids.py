@@ -147,6 +147,12 @@ def test_verify_cell_partition_small():
     assert verify_cell_partition(family_monoid(build("D", 4)), 6) > 0
 
 
+def test_verify_cell_partition_checks_the_grid_cap_first():
+    # 11^4 = 14641 grid points; the box of D4 itself has only 16
+    with pytest.raises(BoxCapExceeded, match="grid has 14641 points, box cap is 1000"):
+        verify_cell_partition(family_monoid(build("D", 4)), 10, box_cap=1000)
+
+
 def test_toric_class_groups():
     cases = {
         "A1": (),
@@ -200,6 +206,16 @@ def test_parse_instance_round_trip():
 
     with pytest.raises(ValueError):
         parse_instance("")
+
+
+def test_parse_instance_input_checks():
+    with pytest.raises(ValueError, match="negative dimension"):
+        parse_instance("-1\n")
+    assert parse_instance("0\n") == CongruenceMonoid(0, ())
+    point = CongruenceMonoid(0, (Congruence((), 2),))  # serializes its congruence as " mod 2"
+    assert parse_instance(point.serialize()) == point
+    indented = parse_instance("2\n  # note\n\t# another\n1 1 mod 2\n")
+    assert indented == CongruenceMonoid(2, (Congruence((1, 1), 2),))
 
 
 def test_box_cap():

@@ -17,6 +17,7 @@ from rootinv.reports import (
     monoid_from_weight_lattice,
     omega_description,
     omega_expand,
+    report,
     report_A,
     report_B,
     report_B_sym,
@@ -146,15 +147,7 @@ def test_family_monoid_matches_smith_derivation():
 def test_verify_omega_small_types():
     for name, bound in [("A2", None), ("A3", None), ("B3", None), ("C3", None), ("D4", 3), ("A5", 4)]:
         rs = build(RootSystemType.parse(name))
-        rep = _report_for_name(name)
-        assert verify_omega(rs, rep, bound), name
-
-
-def _report_for_name(name: str):
-    t = RootSystemType.parse(name)
-    if t.family == "A":
-        return report_A(t.rank + 1)
-    return {"B": report_B, "C": report_C, "D": report_D}[t.family](t.rank)
+        assert verify_omega(rs, report(rs), bound), name
 
 
 def test_omega_expand_multiplicativity():
@@ -203,3 +196,37 @@ def test_report_b_sym():
 def test_omega_description():
     assert omega_description((0, 0)) == "1"
     assert omega_description((2, 0, 1)) == "o(w1)^2*o(w3)"
+
+
+_SHIM_CASES = (
+    [(f"A{r}", lambda r=r: report_A(r + 1)) for r in range(1, 8)]
+    + [(f"B{n}", lambda n=n: report_B(n)) for n in range(2, 7)]
+    + [(f"C{n}", lambda n=n: report_C(n)) for n in range(2, 7)]
+    + [(f"D{n}", lambda n=n: report_D(n)) for n in range(4, 8)]
+    + [("E6", report_E6), ("E7", report_E7)]
+    + [(name, lambda name=name: report_selfdual(name)) for name in ("E8", "F4", "G2")]
+)
+
+
+@pytest.mark.parametrize("name,shim", _SHIM_CASES, ids=[name for name, _ in _SHIM_CASES])
+def test_report_agrees_with_the_named_entry_points(name, shim):
+    assert report(build(name)) == shim()
+
+
+def test_public_names_keep_every_report_entry_point():
+    import rootinv
+
+    names = {
+        "AbelianGroupStructure", "Binomial", "Congruence", "CongruenceMonoid", "HilbertBasis",
+        "IntMatrix", "InvariantReport", "KernelInstance", "LaurentPoly", "RootSystem",
+        "RootSystemType", "RootinvError", "WeylElement", "build", "class_group",
+        "class_group_cross_check", "cokernel_invariant_factors", "enumerate_group",
+        "family_monoid", "group_order_bfs", "hilbert_basis_box", "hilbert_basis_kernel",
+        "hironaka_cells", "integer_kernel", "is_invariant", "orbit", "orbit_sum",
+        "orbit_sum_weight_coords", "reflections", "relations_bounded", "relations_equivalent",
+        "report", "report_A", "report_B", "report_C", "report_D", "report_E6", "report_E7",
+        "report_selfdual", "smith_normal_form", "verify_relation", "weight_quotient",
+        "__version__",
+    }
+    assert names <= set(rootinv.__all__)
+    assert all(hasattr(rootinv, name) for name in names)

@@ -352,7 +352,7 @@ def _check_class_groups(include_e7: bool, group_cap: int) -> str:
         rs = build(RootSystemType.parse(name))
         res = class_group_cross_check(rs, group_cap)
         _expect(res.name == want, f"{name}: got {res.name}, want {want}")
-    # beyond the scan cap: the sign-change argument must kick in
+    # beyond the scan cap: decided on the root reflections, without enumerating W
     for n in (7, 8):
         rs = build(RootSystemType("B", n))
         res = class_group(rs, cap=1000)

@@ -135,8 +135,9 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     if not lines:
         raise ValueError("empty instance")
     if lines[0].lower().startswith("ker:"):
-        coeffs = tuple(int(x) for x in lines[0][4:].split())
-        return KernelInstance(coeffs)
+        if len(lines) > 1:
+            raise ValueError(f"a 'ker:' instance is a single line, got {lines[1]!r} after it")
+        return KernelInstance(tuple(int(x) for x in lines[0][4:].split()))
     dim = int(lines[0])
     if dim < 0:
         raise ValueError(f"negative dimension {dim}")

@@ -4,9 +4,10 @@ A group element is the matrix whose j-th column holds the simple-root
 coordinates of the image of alpha_j; elements therefore act on column
 vectors of root-lattice coordinates.  Bulk enumeration runs on compact
 numpy int8 stacks (entries of Weyl matrices are bounded by the highest
-root's coordinates) with exact integer arithmetic throughout; dedup keys
-are images of the strictly dominant vector 2*rho, on which the action is
-free.
+root's coordinates) with exact integer arithmetic throughout.  It is
+graded by Coxeter length: s_i w is longer than w exactly when the i-th
+weight coordinate of w(2*rho) is positive, so each level is built from
+the one before alone.
 """
 
 from __future__ import annotations
@@ -148,44 +149,25 @@ class OrbitSet:
 
 
 def orbit(rs: RootSystem, v: Sequence[Fraction | int], cap: int = DEFAULT_ORBIT_CAP) -> OrbitSet:
-    """BFS closure of v under the simple reflections."""
+    """Orbit of an ambient vector: BFS on its rational weight coordinates."""
     vq = tuple(Q(x) for x in v)
-    pair = rs.pairing_with_simple(vq)
-    if all(p.denominator == 1 for p in pair):
-        # weight-coordinate fast path over integers
-        perp = tuple(a - b for a, b in zip(vq, rs.span_component(vq)))
-        pts = orbit_weight_coords(rs, tuple(int(p) for p in pair), cap)
-        amb = []
-        for m in pts:
-            u = rs.from_weight_coords(m)
-            amb.append(tuple(a + b for a, b in zip(u, perp)))
-        return OrbitSet(sorted_ratvectors(amb))
-    seen = {vq}
-    frontier = [vq]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for a in rs.simple_roots:
-                y = _reflect_ambient(x, a)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise OrbitCapExceeded(f"orbit larger than {cap}")
-        frontier = nxt
-    return OrbitSet(sorted_ratvectors(seen))
+    perp = tuple(a - b for a, b in zip(vq, rs.span_component(vq)))
+    amb = []
+    for m in orbit_weight_coords(rs, rs.pairing_with_simple(vq), cap):
+        amb.append(tuple(a + b for a, b in zip(rs.from_weight_coords(m), perp)))
+    return OrbitSet(sorted_ratvectors(amb))
 
 
 def orbit_weight_coords(
-    rs: RootSystem, m: Sequence[int], cap: int = DEFAULT_ORBIT_CAP
-) -> set[tuple[int, ...]]:
-    """Orbit of a weight given in weight coordinates; all-integer BFS.
+    rs: RootSystem, m: Sequence[int | Fraction], cap: int = DEFAULT_ORBIT_CAP
+) -> set[tuple[int | Fraction, ...]]:
+    """Orbit of a vector given in weight coordinates (rational off the weight lattice).
 
     s_i acts by m_j -> m_j - m_i * cartan[j][i].
     """
     n = rs.rank
     cart = rs.cartan.rows
-    start = tuple(int(x) for x in m)
+    start = tuple(m)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -215,63 +197,54 @@ def _two_rho_alpha(rs: RootSystem) -> np.ndarray:
     return np.array(coords, dtype=np.int64)
 
 
-def _group_levels(rs: RootSystem) -> Iterator[np.ndarray]:
-    """Yield BFS levels of the Weyl group as int8 stacks (F, n, n)."""
+def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
+    """Yield the elements of W by Coxeter length, as int8 stacks (F, n, n).
+
+    Raises GroupCapExceeded when |W| > cap, before the first level, and
+    AssertionError when the levels do not add up to |W|.  A level is
+    deduplicated on its keys w(2*rho), on which the action is free.
+    """
+    if rs.weyl_order > cap:
+        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
     n = rs.rank
-    crow = [np.array(rs.cartan.rows[i], dtype=np.int64) for i in range(n)]
-    rho2 = _two_rho_alpha(rs)
-    ident = np.eye(n, dtype=np.int8)
-    frontier = ident[None, :, :]
-    seen = {(ident.astype(np.int64) @ rho2).astype(np.int32).tobytes()}
-    yield frontier
-    while frontier.shape[0]:
-        cands = []
+    cartan = np.array(rs.cartan.rows, dtype=np.int64)
+    level = np.eye(n, dtype=np.int8)[None, :, :]
+    keys = _two_rho_alpha(rs)[None, :]
+    total = 0
+    while level.shape[0]:
+        yield level
+        total += level.shape[0]
+        weights = keys @ cartan.T
+        cands, cand_keys = [], []
         for i in range(n):
-            new = frontier.copy()
-            corr = np.einsum("j,fjk->fk", crow[i], frontier.astype(np.int64))
-            new[:, i, :] = frontier[:, i, :] - corr.astype(np.int8)
+            up = weights[:, i] > 0  # s_i w is one step longer
+            new, new_keys = level[up], keys[up]
+            new[:, i, :] -= np.einsum("j,fjk->fk", cartan[i], new.astype(np.int64)).astype(np.int8)
+            new_keys[:, i] -= weights[up, i]
             cands.append(new)
-        cands = np.concatenate(cands)
-        keys = (cands.astype(np.int64) @ rho2).astype(np.int32)
-        kv = np.ascontiguousarray(keys).view([("", keys.dtype)] * n)
-        _, idx = np.unique(kv, return_index=True)
-        fresh_rows = []
-        for r in idx:
-            b = keys[r].tobytes()
-            if b not in seen:
-                seen.add(b)
-                fresh_rows.append(r)
-        if not fresh_rows:
-            return
-        frontier = cands[np.array(fresh_rows)]
-        yield frontier
+            cand_keys.append(new_keys)
+        keys, idx = np.unique(np.concatenate(cand_keys), axis=0, return_index=True)
+        level = np.concatenate(cands)[idx]
+    if total != rs.weyl_order:
+        raise AssertionError(f"closure found {total} elements, classical order is {rs.weyl_order}")
 
 
 def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """|W| by BFS closure of the simple reflections."""
-    if rs.weyl_order > cap:
-        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
-    total = sum(level.shape[0] for level in _group_levels(rs))
-    if total != rs.weyl_order:
-        raise AssertionError(f"BFS found {total} elements, classical order is {rs.weyl_order}")
-    return total
+    """|W| by closure of the simple reflections; raises GroupCapExceeded when |W| > cap."""
+    return sum(level.shape[0] for level in _group_levels(rs, cap))
 
 
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> frozenset[WeylElement]:
     """All Weyl group elements; raises GroupCapExceeded when |W| > cap."""
-    if rs.weyl_order > cap:
-        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
     n = rs.rank
     out = []
-    for level in _group_levels(rs):
+    for level in _group_levels(rs, cap):
         lvl16 = level.astype(np.int16)
         for k in range(lvl16.shape[0]):
             w = object.__new__(WeylElement)
             object.__setattr__(w, "n", n)
             object.__setattr__(w, "_data", lvl16[k].tobytes())
             out.append(w)
-    if len(out) != rs.weyl_order:
-        raise AssertionError("enumeration does not match the classical order")
     return frozenset(out)
 
 
@@ -285,11 +258,9 @@ def is_reflection(w: WeylElement) -> bool:
 
 def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
     """All reflections in W, by exhaustive scan (trace prefilter, exact rank check)."""
-    if rs.weyl_order > cap:
-        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
     n = rs.rank
     found = []
-    for level in _group_levels(rs):
+    for level in _group_levels(rs, cap):
         tr = np.trace(level, axis1=1, axis2=2)
         for k in np.nonzero(tr == n - 2)[0]:
             w = WeylElement(level[k].tolist())

@@ -122,7 +122,7 @@ def test_invariants_honours_box_cap(capsys):
 
 
 def test_report_never_enumerates_the_group(capsys, monkeypatch):
-    def refuse(rs):
+    def refuse(*args):
         raise AssertionError("the report path enumerated W")
 
     monkeypatch.setattr("rootinv.weyl._group_levels", refuse)

@@ -216,6 +216,9 @@ def test_parse_instance_input_checks():
     assert parse_instance(point.serialize()) == point
     indented = parse_instance("2\n  # note\n\t# another\n1 1 mod 2\n")
     assert indented == CongruenceMonoid(2, (Congruence((1, 1), 2),))
+    with pytest.raises(ValueError, match="single line"):
+        parse_instance("ker: 1 -1\n3\n1 1 x mod 2\n")
+    assert parse_instance("ker: 1 -1\n# trailing comment\n") == KernelInstance((1, -1))
 
 
 def test_box_cap():

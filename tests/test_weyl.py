@@ -11,6 +11,7 @@ from rootinv.intlinalg import IntMatrix, rank_int
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
+    _group_levels,
     diagonalizable_reflection_subgroup,
     enumerate_group,
     group_order_bfs,
@@ -91,6 +92,18 @@ def test_orbit_rational_vector_agrees_with_weight_route():
     assert orbit(rs, amb).size == len(orbit_weight_coords(rs, (1, 0, 1)))
 
 
+def test_orbit_off_the_weight_lattice():
+    from fractions import Fraction as F
+    from itertools import permutations, product
+
+    a2 = orbit(build("A", 2), (F(1, 3), 0, F(-1, 3)))
+    assert {rv.to_fractions() for rv in a2.vectors} == set(permutations((F(1, 3), F(0), F(-1, 3))))
+    b2 = orbit(build("B", 2), (F(1, 2), F(1, 3)))
+    signed = {(sx * x, sy * y) for x, y in permutations((F(1, 2), F(1, 3))) for sx, sy in product((1, -1), repeat=2)}
+    assert len(signed) == 8
+    assert {rv.to_fractions() for rv in b2.vectors} == signed
+
+
 def test_orbit_cap():
     rs = build("D", 4)
     with pytest.raises(OrbitCapExceeded):
@@ -109,8 +122,29 @@ def test_group_enumeration_small():
 
 def test_group_cap():
     rs = build("E", 6)
-    with pytest.raises(GroupCapExceeded):
-        group_order_bfs(rs, cap=1000)
+    for scan in (group_order_bfs, enumerate_group, reflections):
+        with pytest.raises(GroupCapExceeded):
+            scan(rs, cap=1000)
+
+
+@pytest.mark.parametrize(
+    "name,degrees",
+    [
+        ("A3", (2, 3, 4)),
+        ("B3", (2, 4, 6)),
+        ("G2", (2, 6)),
+        ("D4", (2, 4, 4, 6)),
+        ("F4", (2, 6, 8, 12)),
+        ("E6", (2, 5, 6, 8, 9, 12)),
+    ],
+)
+def test_levels_are_graded_by_coxeter_length(name, degrees):
+    # the Poincare polynomial sum_w q^l(w) is prod_i (1 + q + ... + q^(d_i - 1))
+    poincare = [1]
+    for d in degrees:
+        poincare = [sum(poincare[max(0, k - d + 1) : k + 1]) for k in range(len(poincare) + d - 1)]
+    rs = build(RootSystemType.parse(name))
+    assert [level.shape[0] for level in _group_levels(rs, rs.weyl_order)] == poincare
 
 
 def test_reflection_count_equals_positive_roots():

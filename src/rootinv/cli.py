@@ -390,8 +390,8 @@ def _check_hironaka_partition() -> str:
     return f"{total} monoid elements reduced to unique cells"
 
 
-def _check_weyl_order(type_name: str, want: int) -> str:
-    n = group_order_bfs(build(type_name))
+def _check_weyl_order(type_name: str, want: int, group_cap: int) -> str:
+    n = group_order_bfs(build(type_name), group_cap)
     _expect(n == want, f"got {n}")
     return f"|W({type_name})| = {want} by closure"
 
@@ -423,10 +423,10 @@ def _selfcheck_list(include_e7: bool, group_cap: int):
         ("class-group-table", lambda: _check_class_groups(include_e7, group_cap)),
         ("orbit-sum-invariance", _check_orbit_invariance),
         ("hironaka-partition", _check_hironaka_partition),
-        ("weyl-order-e6", lambda: _check_weyl_order("E6", 51840)),
+        ("weyl-order-e6", lambda: _check_weyl_order("E6", 51840, group_cap)),
     ]
     if include_e7:
-        checks.append(("weyl-order-e7", lambda: _check_weyl_order("E7", 2903040)))
+        checks.append(("weyl-order-e7", lambda: _check_weyl_order("E7", 2903040, group_cap)))
     return checks
 
 
@@ -454,6 +454,13 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def cap(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a cap must be nonnegative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootinv",
@@ -476,25 +483,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--relations", action="store_true", help="regenerate binomial relations")
     p_inv.add_argument("--hironaka", action="store_true", help="include decomposition cells")
     p_inv.add_argument("--degree-bound", type=int, default=None, metavar="K")
-    p_inv.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
-    p_inv.add_argument("--box-cap", type=int, default=DEFAULT_BOX_CAP)
+    p_inv.add_argument("--orbit-cap", type=cap, default=DEFAULT_ORBIT_CAP)
+    p_inv.add_argument("--box-cap", type=cap, default=DEFAULT_BOX_CAP)
     p_inv.set_defaults(func=cmd_invariants)
 
     p_hil = sub.add_parser("hilbert", help="Hilbert basis of a kernel or congruence monoid")
     src = p_hil.add_mutually_exclusive_group(required=True)
     src.add_argument("--ker", metavar="COEFFS", help='integer row, e.g. "1 2 -3"')
     src.add_argument("--monoid", metavar="FILE", help="instance file")
-    p_hil.add_argument("--box-cap", type=int, default=DEFAULT_BOX_CAP)
+    p_hil.add_argument("--box-cap", type=cap, default=DEFAULT_BOX_CAP)
     p_hil.set_defaults(func=cmd_hilbert)
 
     p_cg = sub.add_parser("classgroup", help="divisor class group of the invariant algebra")
     add_type_args(p_cg)
-    p_cg.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
+    p_cg.add_argument("--group-cap", type=cap, default=DEFAULT_GROUP_CAP)
     p_cg.set_defaults(func=cmd_classgroup)
 
     p_sc = sub.add_parser("selfcheck", help="replay the frozen examples; exit 0 iff all pass")
     p_sc.add_argument("--include-e7", action="store_true", help="also run the heavy enumeration")
-    p_sc.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP)
+    p_sc.add_argument("--group-cap", type=cap, default=DEFAULT_GROUP_CAP)
     p_sc.set_defaults(func=cmd_selfcheck)
 
     return parser

@@ -67,16 +67,6 @@ class IntMatrix:
             raise DimensionMismatch(f"{len(v)} != {self.ncols}")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
-    def sub(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("shape mismatch")
-        return IntMatrix(
-            tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows))
-        )
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(min(self.nrows, self.ncols)))
-
 
 @dataclass(frozen=True)
 class RatVector:
@@ -284,28 +274,35 @@ def cokernel_invariant_factors(a: IntMatrix) -> IntVec:
     return tuple(x for x in sf.diagonal if x > 1)
 
 
-def rank_int(a: IntMatrix) -> int:
-    """Rank over Q, by fraction-free (Bareiss) elimination."""
+def _bareiss(a: IntMatrix) -> tuple[int, int]:
+    """Fraction-free (Bareiss) elimination: the rank over Q and the signed last pivot.
+
+    For a square nonsingular matrix the signed last pivot is the determinant.
+    """
     m = [list(r) for r in a.rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    row = 0
+    nr, nc = a.nrows, a.ncols
+    rank, prev, sign = 0, 1, 1
     for col in range(nc):
-        piv = next((i for i in range(row, nr) if m[i][col]), None)
+        if rank == nr:
+            break
+        piv = next((i for i in range(rank, nr) if m[i][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, nr):
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        for i in range(rank + 1, nr):
             for j in range(col + 1, nc):
-                m[i][j] = (m[row][col] * m[i][j] - m[i][col] * m[row][j]) // prev
+                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
             m[i][col] = 0
-        prev = m[row][col]
-        row += 1
+        prev = m[rank][col]
         rank += 1
-        if row == nr:
-            break
-    return rank
+    return rank, sign * prev
+
+
+def rank_int(a: IntMatrix) -> int:
+    """Rank over Q."""
+    return _bareiss(a)[0]
 
 
 def _gauss_jordan(
@@ -341,23 +338,8 @@ def invert_rational(a: Sequence[Sequence[Fraction | int]]) -> tuple[QVec, ...]:
 
 
 def det_int(a: IntMatrix) -> int:
-    """Determinant of a square integer matrix (Bareiss)."""
-    n = a.nrows
-    if n != a.ncols:
+    """Determinant of a square integer matrix."""
+    if a.nrows != a.ncols:
         raise DimensionMismatch("determinant of non-square matrix")
-    m = [list(r) for r in a.rows]
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for i in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[i][j] = (m[col][col] * m[i][j] - m[i][col] * m[col][j]) // prev
-            m[i][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
+    rank, pivot = _bareiss(a)
+    return pivot if rank == a.nrows else 0

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch, RingMismatch
 from .rootsystem import RootSystem
-from .weyl import DEFAULT_ORBIT_CAP, WeylElement, ambient_action, orbit_weight_coords, simple_reflections
+from .weyl import DEFAULT_ORBIT_CAP, WeylElement, orbit_weight_coords, simple_reflections
 
 Q = Fraction
 
@@ -214,32 +214,11 @@ def act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(p.ring, out)
 
 
-def act_ambient(rs: RootSystem, w: WeylElement, p: LaurentPoly) -> LaurentPoly:
-    """Transform ambient-coordinate exponents by w (identity off the root span)."""
-    if p.ring.dim != rs.ambient_dim:
-        raise DimensionMismatch("ring is not ambient for this root system")
-    out: dict[Exponent, int] = {}
-    for e, c in p._terms.items():
-        frac = tuple(Q(x, p.ring.scale) for x in e)
-        img = ambient_action(rs, w, frac)
-        e2 = []
-        for x in img:
-            xx = x * p.ring.scale
-            if xx.denominator != 1:
-                raise DimensionMismatch("action leaves the scaled ambient lattice")
-            e2.append(int(xx))
-        key = tuple(e2)
-        out[key] = out.get(key, 0) + c
-    return LaurentPoly(p.ring, out)
-
-
 def is_invariant(rs: RootSystem, p: LaurentPoly) -> bool:
     """Invariance under W; checking the simple reflections suffices."""
-    if p.ring.dim == rs.rank:
-        return all(act(s, p) == p for s in simple_reflections(rs))
-    if p.ring.dim == rs.ambient_dim:
-        return all(act_ambient(rs, s, p) == p for s in simple_reflections(rs))
-    raise DimensionMismatch("polynomial ring matches neither root nor ambient coordinates")
+    if p.ring.dim != rs.rank:
+        raise DimensionMismatch("polynomial ring does not match the root coordinates")
+    return all(act(s, p) == p for s in simple_reflections(rs))
 
 
 def elementary_symmetric(ring: ExponentLattice, n: int, i: int) -> LaurentPoly:

@@ -9,9 +9,10 @@ cross-check each other in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
 from .intlinalg import IntMatrix, IntVec, cokernel_invariant_factors, integer_kernel, smith_normal_form
@@ -150,16 +151,34 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     return CongruenceMonoid(dim, tuple(congs))
 
 
+def _box_points(congruences: Sequence[Congruence], sizes: Sequence[int]) -> np.ndarray:
+    """Points of prod [0, s_i) satisfying every congruence, as rows in lexicographic order.
+
+    Residues are outer sums of a_i * x mod m in int64: dividing a congruence by
+    gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
+    prod(z), and both callers bound prod(z) by the box cap before the scan.
+    """
+    mask = np.ones(tuple(sizes), dtype=bool)
+    for c in congruences:
+        g = gcd(c.modulus, *c.coeffs)
+        m = c.modulus // g
+        res = np.zeros((), dtype=np.int64)
+        for a, s in zip(c.coeffs, sizes):
+            res = np.add.outer(res, np.fromiter((a // g * x % m for x in range(s)), np.int64, s))
+            np.remainder(res, m, out=res)
+        mask &= res == 0
+    return np.argwhere(mask)
+
+
 def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
-    """Monoid points of the half-open fundamental box prod [0, z_i)."""
+    """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
     z = m.generator_orders()
-    size = 1
-    for zi in z:
-        size *= zi
+    size = prod(z)
     if size > box_cap:
         raise BoxCapExceeded(f"box has {size} points, cap is {box_cap}")
-    pts = [v for v in product(*(range(zi) for zi in z)) if all(c.holds(v) for c in m.congruences)]
-    return graded_lex_sorted(pts)
+    pts = _box_points(m.congruences, z)
+    pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
+    return tuple(map(tuple, pts.tolist()))
 
 
 def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> HilbertBasis:
@@ -281,11 +300,7 @@ def hironaka_cells(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple
     translates cell + sum Z+ (z_i e_i).
     """
     cells = box_elements(m, box_cap)
-    z = m.generator_orders()
-    size = 1
-    for zi in z:
-        size *= zi
-    if len(cells) * m.lattice_index() != size:
+    if len(cells) * m.lattice_index() != prod(m.generator_orders()):
         raise AssertionError("cell count times lattice index must equal the box volume")
     return cells
 
@@ -329,34 +344,24 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
     number of elements checked; raises AssertionError on any violation, and
     BoxCapExceeded before allocating a grid of more than box_cap points.
     """
-    import numpy as np
-
     grid_size = (bound + 1) ** m.dim
     if grid_size > box_cap:
         raise BoxCapExceeded(f"cell-partition grid has {grid_size} points, box cap is {box_cap}")
     cells = hironaka_cells(m, box_cap)
     if len(set(cells)) != len(cells):
         raise AssertionError("cells are not distinct")
-    z = np.array(m.generator_orders(), dtype=np.int64)
-    axes = [np.arange(bound + 1, dtype=np.int64) for _ in range(m.dim)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m.dim)
-    mask = np.ones(len(grid), dtype=bool)
-    for c in m.congruences:
-        a = np.array(c.coeffs, dtype=np.int64)
-        mask &= (grid @ a) % c.modulus == 0
-    pts = grid[mask]
-    res = pts % z
-    cell_set = {tuple(int(x) for x in c) for c in cells}
-    seen: set[IntVec] = set()
-    uniq = np.unique(res, axis=0)
-    for r in uniq:
-        t = tuple(int(x) for x in r)
-        if t not in cell_set:
-            raise AssertionError(f"residue {t} is not a cell")
-        seen.add(t)
-    if bound >= max(int(x) for x in z) - 1 and seen != cell_set:
+    z = m.generator_orders()
+    is_cell = np.zeros(z, dtype=bool)
+    is_cell[tuple(np.array(cells).T)] = True
+    pts = _box_points(m.congruences, (bound + 1,) * m.dim)
+    hit = np.zeros(z, dtype=bool)
+    hit[tuple((pts % z).T)] = True
+    stray = np.argwhere(hit & ~is_cell)
+    if len(stray):
+        raise AssertionError(f"residue {tuple(stray[0].tolist())} is not a cell")
+    if bound >= max(z, default=1) - 1 and (hit != is_cell).any():
         raise AssertionError("some cell received no element despite exhaustive bound")
-    return int(len(pts))
+    return len(pts)
 
 
 def member_of_generated(v: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:

@@ -69,10 +69,6 @@ class WeylElement:
         m = self.matrix
         return tuple(sum(m[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
 
-    def apply_rational(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        m = self.matrix
-        return tuple(sum((Q(m[i][j]) * v[j] for j in range(self.n)), Q(0)) for i in range(self.n))
-
     def is_identity(self) -> bool:
         m = self.matrix
         return all(m[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
@@ -86,10 +82,6 @@ class WeylElement:
             if k > 10000:
                 raise RuntimeError("runaway order computation")
         return k
-
-    def trace(self) -> int:
-        m = self.matrix
-        return sum(m[i][i] for i in range(self.n))
 
     def as_int_matrix(self) -> IntMatrix:
         return IntMatrix.from_rows(self.matrix)
@@ -353,13 +345,3 @@ def diagonalizable_reflection_subgroup(
     diag = tuple(r for r in refl if h1_cyclic2(r) == 2)
     return DiagonalizableReflections(len(diag), diag, method)
 
-
-def ambient_action(rs: RootSystem, w: WeylElement, v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """Apply w to an ambient vector (identity on the span-orthogonal part)."""
-    vq = tuple(Q(x) for x in v)
-    c = rs.alpha_coords(vq)
-    span = rs.from_alpha_coords(c)
-    perp = tuple(a - b for a, b in zip(vq, span))
-    wc = w.apply_rational(c)
-    img = rs.from_alpha_coords(wc)
-    return tuple(a + b for a, b in zip(img, perp))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rootinv import cli
+from rootinv.errors import GroupCapExceeded
 from rootinv.reports import family_monoid
 from rootinv.rootsystem import build
 
@@ -90,6 +91,20 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as ei:
         cli.main(["bogus-command"])
     assert ei.value.code == 2
+    capsys.readouterr()
+    negative = "a cap must be nonnegative"
+    for argv, message in (
+        (["invariants", "A", "3", "--box-cap", "-1"], negative),
+        (["invariants", "A", "2", "--expand", "--orbit-cap", "-1"], negative),
+        (["hilbert", "--ker", "1 -1", "--box-cap", "-1"], negative),
+        (["classgroup", "A", "3", "--group-cap", "-5"], negative),
+        (["selfcheck", "--group-cap", "-1"], negative),
+        (["invariants", "A", "3", "--box-cap", "abc"], "invalid cap value: 'abc'"),
+    ):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2
+        assert f"argument {argv[-2]}: {message}" in capsys.readouterr().err
 
 
 def test_hilbert_monoid_file(capsys, tmp_path):
@@ -106,6 +121,14 @@ def test_hilbert_monoid_file(capsys, tmp_path):
     )
 
 
+def test_hilbert_monoid_modulus_beyond_int64(capsys, tmp_path):
+    path = tmp_path / "big.monoid"
+    path.write_text("2\n50000000000000000000 0 mod 100000000000000000000\n")
+    code, out = run_cli(capsys, "hilbert", "--monoid", str(path))
+    assert code == 0
+    assert json.loads(out)["payload"]["basis"] == [[0, 1], [2, 0]]
+
+
 def test_classgroup_fallback(capsys):
     code, out = run_cli(capsys, "classgroup", "B", "7", "--group-cap", "1000")
     assert code == 0
@@ -119,6 +142,12 @@ def test_invariants_honours_box_cap(capsys):
     code = cli.main(["invariants", "A", "3", "--box-cap", "3"])
     assert code == 1
     assert "cap is 3" in capsys.readouterr().err
+
+
+def test_selfcheck_weyl_order_honours_the_group_cap():
+    checks = dict(cli._selfcheck_list(False, 1000))
+    with pytest.raises(GroupCapExceeded, match="exceeds cap 1000"):
+        checks["weyl-order-e6"]()
 
 
 def test_report_never_enumerates_the_group(capsys, monkeypatch):

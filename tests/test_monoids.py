@@ -153,6 +153,20 @@ def test_verify_cell_partition_checks_the_grid_cap_first():
         verify_cell_partition(family_monoid(build("D", 4)), 10, box_cap=1000)
 
 
+@pytest.mark.parametrize(
+    "cells,message",
+    [
+        (((0, 0), (2, 2)), r"residue \(1, 1\) is not a cell"),
+        (((0, 0), (0, 1), (1, 1), (2, 2)), "some cell received no element"),
+    ],
+)
+def test_verify_cell_partition_rejects_wrong_cells(monkeypatch, cells, message):
+    # the cells of A2 are (0, 0), (1, 1), (2, 2)
+    monkeypatch.setattr("rootinv.monoids.hironaka_cells", lambda m, box_cap: cells)
+    with pytest.raises(AssertionError, match=message):
+        verify_cell_partition(a_monoid(3), 8)
+
+
 def test_toric_class_groups():
     cases = {
         "A1": (),

@@ -1,12 +1,22 @@
-"""Property tests for the two text formats: monoid instances and binomials."""
+"""Property tests for the two text formats (monoid instances, binomials) and the box scan."""
 
 from __future__ import annotations
 
-from hypothesis import given
+from itertools import product
+from math import prod
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootinv.errors import DimensionMismatch
-from rootinv.monoids import Congruence, CongruenceMonoid, KernelInstance, parse_instance
+from rootinv.monoids import (
+    Congruence,
+    CongruenceMonoid,
+    KernelInstance,
+    box_elements,
+    graded_lex_sorted,
+    parse_instance,
+)
 from rootinv.relations import Binomial, parse_binomial
 
 # Fragments of the instance format, so that random text often comes close to an instance.
@@ -18,16 +28,21 @@ _COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_s
 
 
 @st.composite
-def instances(draw) -> CongruenceMonoid | KernelInstance:
-    if draw(st.booleans()):
-        neg = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=3))
-        pos = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3).filter(any))
-        return KernelInstance(tuple(draw(st.permutations(neg + pos))))
+def congruence_monoids(draw) -> CongruenceMonoid:
     dim = draw(st.integers(0, 5))
     congruence = st.builds(
         Congruence, st.tuples(*[st.integers(-20, 20)] * dim), st.integers(2, 12)
     )
     return CongruenceMonoid(dim, tuple(draw(st.lists(congruence, max_size=3))))
+
+
+@st.composite
+def instances(draw) -> CongruenceMonoid | KernelInstance:
+    if draw(st.booleans()):
+        neg = draw(st.lists(st.integers(-9, -1), min_size=1, max_size=3))
+        pos = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3).filter(any))
+        return KernelInstance(tuple(draw(st.permutations(neg + pos))))
+    return draw(congruence_monoids())
 
 
 def _text(inst: CongruenceMonoid | KernelInstance) -> str:
@@ -78,3 +93,33 @@ def test_comment_lines_are_ignored_at_any_indentation(inst, comments):
 @given(binomials())
 def test_parse_binomial_inverts_format(b):
     assert parse_binomial(b.format(), len(b.plus)) == b
+
+
+# Moduli far beyond int64 whose coefficients m/4, m/2, 3m/4 keep every generator order at most 4.
+_BIG_MODULUS = st.sampled_from((10**20, 2**64))
+
+
+@st.composite
+def box_monoids(draw) -> CongruenceMonoid:
+    small = draw(congruence_monoids())
+    big = st.builds(
+        lambda m, ks: Congruence(tuple(m * k // 4 for k in ks), m),
+        _BIG_MODULUS,
+        st.lists(st.integers(0, 3), min_size=small.dim, max_size=small.dim),
+    )
+    m = CongruenceMonoid(small.dim, small.congruences + tuple(draw(st.lists(big, max_size=2))))
+    assume(prod(m.generator_orders()) <= 20_000)
+    return m
+
+
+def _box_elements_reference(m: CongruenceMonoid) -> tuple:
+    box = product(*(range(z) for z in m.generator_orders()))
+    return graded_lex_sorted(v for v in box if all(c.holds(v) for c in m.congruences))
+
+
+@settings(deadline=None)
+@given(box_monoids())
+def test_box_elements_matches_the_pointwise_scan(m):
+    got = box_elements(m)
+    assert got == _box_elements_reference(m)
+    assert all(type(x) is int for v in got for x in v)

@@ -5,21 +5,33 @@ Exponent vectors are stored as integers equal to `scale` times the actual
 are used in practice: simple-root coordinates (dimension = rank) for
 invariant-theory work, and ambient coordinates for identities among
 elementary symmetric polynomials.
+
+A polynomial is a lexicographically sorted exponent array (T, dim) with a
+coefficient array (T,).  Products, sums and Weyl actions pack each exponent
+row into one mixed-radix key whose order is lex order, sort the keys
+stably and add the coefficients of equal keys.  The arrays are int64 when
+every key, exponent and coefficient sum provably fits, and otherwise the
+same code runs on Python ints (`dtype=object`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, RingMismatch
 from .rootsystem import RootSystem
 from .weyl import DEFAULT_ORBIT_CAP, WeylElement, orbit_weight_coords, simple_reflections
 
-Q = Fraction
-
 Exponent = tuple[int, ...]
+
+_INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
+_BLOCK = 1 << 20  # term pairs a product forms at once; bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -34,20 +46,117 @@ class ExponentLattice:
             raise ValueError("dimension and scale must be positive")
 
 
+def _abs_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _abs_sum(c: np.ndarray) -> int:
+    """Sum of |c| as a Python int, with no int64 overflow."""
+    if c.dtype != object and len(c) * _abs_max(c) < _INT64:
+        return int(np.abs(c).sum())
+    return int(np.abs(c.astype(object)).sum())
+
+
+def _matmul(rows: np.ndarray, mat: Sequence[Sequence[int]]) -> np.ndarray:
+    """Exact rows @ mat: in int64 when no entry can overflow, else in Python ints."""
+    bound = _abs_max(rows) * max(1, *(sum(map(abs, col)) for col in zip(*mat)))
+    dtype = np.int64 if bound < _INT64 else object
+    return rows.astype(dtype) @ np.array(mat, dtype=dtype)
+
+
+class _Radix:
+    """Mixed-radix keys of the exponent rows in the box [lo, hi]; key order is lex order.
+
+    `dtype` is int64 when every key, every value in `bounds` and every
+    coefficient up to `coeff_bound` fits in int64, and object otherwise.
+    """
+
+    def __init__(self, lo: list[int], hi: list[int], coeff_bound: int, bounds: Iterable[int] = ()):
+        self.lo = lo
+        self.widths = [h - l + 1 for l, h in zip(lo, hi)]
+        self.strides = [prod(self.widths[j + 1 :]) for j in range(len(lo))]
+        fits = prod(self.widths) < _INT64 and coeff_bound < _INT64
+        fits = fits and all(-_INT64 < v < _INT64 for v in (*lo, *hi, *bounds))
+        self.dtype = np.dtype(np.int64 if fits else object)
+
+    def _row(self, values: list[int]) -> np.ndarray:
+        return np.array(values, dtype=self.dtype)
+
+    def keys(self, exps: np.ndarray, lo: list[int]) -> np.ndarray:
+        """Keys of the rows of exps, offset by lo instead of self.lo (for factors of a product)."""
+        return (exps.astype(self.dtype) - self._row(lo)) @ self._row(self.strides)
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        return keys[:, None] // self._row(self.strides) % self._row(self.widths) + self._row(self.lo)
+
+
+def _combine(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Add the coefficients of equal keys; return the keys in increasing order and the nonzero sums."""
+    if not len(keys):
+        return keys, coeffs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    coeffs = coeffs[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(coeffs, starts)
+    keep = sums != 0
+    return keys[starts[keep]], sums[keep]
+
+
+def _combine_products(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray):
+    """_combine of all pairs (ka_i + kb_j, ca_i * cb_j), formed at most _BLOCK pairs at a time.
+
+    Each combined block is merged into the running result; the stable sort
+    merges the two sorted runs in linear time.
+    """
+    step_b = min(len(kb), _BLOCK)
+    step_a = max(1, _BLOCK // step_b)
+    keys, coeffs = ka[:0], ca[:0]
+    for i in range(0, len(ka), step_a):
+        for j in range(0, len(kb), step_b):
+            k, c = _combine(
+                np.add.outer(ka[i : i + step_a], kb[j : j + step_b]).ravel(),
+                np.multiply.outer(ca[i : i + step_a], cb[j : j + step_b]).ravel(),
+            )
+            if len(keys):
+                k, c = _combine(np.concatenate((keys, k)), np.concatenate((coeffs, c)))
+            keys, coeffs = k, c
+    return keys, coeffs
+
+
+def _normal(exps: np.ndarray, coeffs: np.ndarray, coeff_bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, combined, zero-free arrays for the terms (exps, coeffs).
+
+    coeff_bound bounds |the sum of the coefficients of any one exponent|.
+    """
+    if not len(coeffs):
+        return exps, coeffs
+    lo, hi = exps.min(axis=0).tolist(), exps.max(axis=0).tolist()
+    radix = _Radix(lo, hi, coeff_bound)
+    keys, coeffs = _combine(radix.keys(exps, lo), coeffs.astype(radix.dtype))
+    return radix.rows(keys), coeffs
+
+
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("ring", "_terms")
+    __slots__ = ("ring", "_exps", "_coeffs")
 
     def __init__(self, ring: ExponentLattice, terms: Mapping[Exponent, int] | None = None):
+        items = list((terms or {}).items())
+        if any(len(e) != ring.dim for e, _ in items):
+            raise DimensionMismatch("exponent arity != ring dimension")
+        exps = np.array([[int(x) for x in e] for e, _ in items], dtype=object).reshape(len(items), ring.dim)
+        coeffs = np.array([int(c) for _, c in items], dtype=object)
         self.ring = ring
-        clean: dict[Exponent, int] = {}
-        for e, c in (terms or {}).items():
-            if len(e) != ring.dim:
-                raise DimensionMismatch("exponent arity != ring dimension")
-            if c:
-                clean[tuple(int(x) for x in e)] = int(c)
-        self._terms = clean
+        self._exps, self._coeffs = _normal(exps, coeffs, _abs_sum(coeffs))
+
+    @staticmethod
+    def _new(ring: ExponentLattice, exps: np.ndarray, coeffs: np.ndarray) -> "LaurentPoly":
+        p = object.__new__(LaurentPoly)
+        p.ring, p._exps, p._coeffs = ring, exps, coeffs
+        return p
 
     @staticmethod
     def zero(ring: ExponentLattice) -> "LaurentPoly":
@@ -62,81 +171,94 @@ class LaurentPoly:
         return LaurentPoly(ring, {tuple(int(x) for x in exponent): coeff})
 
     def terms(self) -> tuple[tuple[Exponent, int], ...]:
-        return tuple(sorted(self._terms.items()))
+        return tuple(zip(map(tuple, self._exps.tolist()), self._coeffs.tolist()))
 
     def coefficient(self, exponent: Sequence[int]) -> int:
-        return self._terms.get(tuple(int(x) for x in exponent), 0)
+        e = tuple(int(x) for x in exponent)
+        rows = self._exps
+        i = bisect_left(range(len(rows)), e, key=lambda k: tuple(rows[k].tolist()))
+        return int(self._coeffs[i]) if i < len(rows) and tuple(rows[i].tolist()) == e else 0
 
     @property
     def nterms(self) -> int:
-        return len(self._terms)
+        return len(self._coeffs)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not len(self._coeffs)
+
+    def _box(self) -> tuple[list[int], list[int]]:
+        return self._exps.min(axis=0).tolist(), self._exps.max(axis=0).tolist()
 
     def _check(self, other: "LaurentPoly") -> None:
         if self.ring != other.ring:
             raise RingMismatch(f"{self.ring} != {other.ring}")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
         self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(self.ring, out)
+        exps = np.concatenate((self._exps, other._exps))
+        coeffs = np.concatenate((self._coeffs, sign * other._coeffs))
+        bound = _abs_max(self._coeffs) + _abs_max(other._coeffs)
+        return LaurentPoly._new(self.ring, *_normal(exps, coeffs, bound))
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(self.ring, out)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.ring, {e: -c for e, c in self._terms.items()})
+        return LaurentPoly._new(self.ring, self._exps, -self._coeffs)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly(self.ring, {e: c * other for e, c in self._terms.items()})
+            if not other:
+                return LaurentPoly(self.ring)
+            dtype = np.int64 if _abs_max(self._coeffs) * abs(other) < _INT64 else object
+            return LaurentPoly._new(self.ring, self._exps, self._coeffs.astype(dtype) * other)
         self._check(other)
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(self.ring, out)
+        if self.is_zero() or other.is_zero():
+            return LaurentPoly(self.ring)
+        (lo_a, hi_a), (lo_b, hi_b) = self._box(), other._box()
+        radix = _Radix(
+            [x + y for x, y in zip(lo_a, lo_b)],
+            [x + y for x, y in zip(hi_a, hi_b)],
+            _abs_sum(self._coeffs) * _abs_sum(other._coeffs),
+            (*lo_a, *hi_a, *lo_b, *hi_b),
+        )
+        keys, coeffs = _combine_products(
+            radix.keys(self._exps, lo_a),
+            self._coeffs.astype(radix.dtype),
+            radix.keys(other._exps, lo_b),
+            other._coeffs.astype(radix.dtype),
+        )
+        return LaurentPoly._new(self.ring, radix.rows(keys), coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined here")
+        # One factor at a time: for sparse factors, k products with the short base
+        # form far fewer term pairs than squaring the long intermediate powers.
         result = LaurentPoly.constant(self.ring, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPoly)
             and self.ring == other.ring
-            and self._terms == other._terms
+            and self._exps.shape == other._exps.shape
+            and np.array_equal(self._coeffs, other._coeffs)
+            and np.array_equal(self._exps, other._exps)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self._terms.items())))
+        return hash((self.ring, self.terms()))
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        bits = []
-        for e, c in self.terms():
-            bits.append(f"{c}*x^{e}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*x^{e}" for e, c in self.terms()) or "0"
 
 
 def alpha_ring(rs: RootSystem) -> ExponentLattice:
@@ -148,15 +270,21 @@ def ambient_ring(rs: RootSystem, scale: int | None = None) -> ExponentLattice:
     return ExponentLattice(rs.ambient_dim, scale if scale is not None else rs.weight_scale)
 
 
-def _weight_alpha_scaled(rs: RootSystem, m: Sequence[int], scale: int) -> Exponent:
-    """scale * (alpha-coordinates of the weight with weight-coordinates m)."""
-    out = []
-    for i in range(rs.rank):
-        c = sum((Q(mj) * rs.fundamental_weights_alpha[j][i] for j, mj in enumerate(m)), Q(0)) * scale
-        if c.denominator != 1:
-            raise DimensionMismatch("weight does not live in the scaled exponent lattice")
-        out.append(int(c))
-    return tuple(out)
+def _weight_orbit_sum(rs: RootSystem, points: Iterable[Sequence[int]], ring: ExponentLattice) -> LaurentPoly:
+    """Sum of x^(ring.scale * alpha-coordinates) over weights given in weight coordinates.
+
+    The weights go to alpha-coordinates through the one integer matrix
+    weight_scale * fundamental_weights_alpha.
+    """
+    s = rs.weight_scale
+    scaled = [[c * s for c in w] for w in rs.fundamental_weights_alpha]
+    if any(c.denominator != 1 for row in scaled for c in row):
+        raise AssertionError("weight_scale must clear the fundamental weights' denominators")
+    pts = np.array(list(points), dtype=object)
+    exps = _matmul(pts, [[int(c) * ring.scale for c in row] for row in scaled])
+    if (exps % s).any():
+        raise DimensionMismatch("weight does not live in the scaled exponent lattice")
+    return LaurentPoly._new(ring, *_normal(exps // s, np.ones(len(exps), dtype=exps.dtype), 1))
 
 
 def orbit_sum(rs: RootSystem, v: Sequence[Fraction | int], ring: ExponentLattice | None = None) -> LaurentPoly:
@@ -164,14 +292,12 @@ def orbit_sum(rs: RootSystem, v: Sequence[Fraction | int], ring: ExponentLattice
 
     Exponents are simple-root coordinates times the ring scale.
     """
-    ring = ring or alpha_ring(rs)
-    vq = tuple(Q(x) for x in v)
+    vq = tuple(Fraction(x) for x in v)
     pair = rs.pairing_with_simple(vq)
     if any(p.denominator != 1 for p in pair):
         raise DimensionMismatch("orbit sums are defined for weight-lattice vectors")
     pts = orbit_weight_coords(rs, tuple(int(p) for p in pair))
-    terms = {_weight_alpha_scaled(rs, m, ring.scale): 1 for m in pts}
-    return LaurentPoly(ring, terms)
+    return _weight_orbit_sum(rs, pts, ring or alpha_ring(rs))
 
 
 def orbit_sum_weight_coords(
@@ -181,9 +307,8 @@ def orbit_sum_weight_coords(
     cap: int = DEFAULT_ORBIT_CAP,
 ) -> LaurentPoly:
     """Orbit sum of the weight sum(m_i w_i), given directly in weight coordinates."""
-    ring = ring or alpha_ring(rs)
     pts = orbit_weight_coords(rs, tuple(int(x) for x in m), cap)
-    return LaurentPoly(ring, {_weight_alpha_scaled(rs, p, ring.scale): 1 for p in pts})
+    return _weight_orbit_sum(rs, pts, ring or alpha_ring(rs))
 
 
 def orbit_sum_ambient(rs: RootSystem, v: Sequence[Fraction | int], ring: ExponentLattice) -> LaurentPoly:
@@ -204,14 +329,11 @@ def orbit_sum_ambient(rs: RootSystem, v: Sequence[Fraction | int], ring: Exponen
 
 
 def act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:
-    """Transform exponents by w (simple-root-coordinate rings)."""
+    """Transform exponents by w (simple-root-coordinate rings): one matrix product."""
     if p.ring.dim != w.n:
         raise DimensionMismatch("element rank != ring dimension")
-    out: dict[Exponent, int] = {}
-    for e, c in p._terms.items():
-        e2 = w.apply(e)
-        out[e2] = out.get(e2, 0) + c
-    return LaurentPoly(p.ring, out)
+    exps = _matmul(p._exps, list(zip(*w.matrix)))
+    return LaurentPoly._new(p.ring, *_normal(exps, p._coeffs, _abs_sum(p._coeffs)))
 
 
 def is_invariant(rs: RootSystem, p: LaurentPoly) -> bool:
@@ -246,28 +368,37 @@ def elementary_symmetric_identity_check(rs: RootSystem, i: int) -> bool:
     return os * shift == elementary_symmetric(ring, n, i)
 
 
+def _power(j: int, e: int, s: int, var: str) -> str:
+    """'*' and the factor of coordinate j for the scaled exponent e, or '' when e is 0."""
+    if e == 0:
+        return ""
+    if e % s == 0:
+        q = e // s
+        return f"*{var}{j}" if q == 1 else f"*{var}{j}^{q}"
+    fr = Fraction(e, s)
+    return f"*{var}{j}^({fr.numerator}/{fr.denominator})"
+
+
+def _lookup(column: np.ndarray, text, lead: np.ndarray | None = None) -> np.ndarray:
+    """text(value) for each entry of column, built once per distinct value; where lead holds,
+    without its first character."""
+    values, index = np.unique(column, return_inverse=True)
+    table = [text(v) for v in values.tolist()]
+    if lead is None:
+        return np.array(table, dtype=object)[index]
+    return np.array(table + [t[1:] for t in table], dtype=object)[index + len(table) * lead]
+
+
 def render(p: LaurentPoly, var: str = "x") -> str:
     """Human-readable form with exact (possibly fractional) exponents."""
     if p.is_zero():
         return "0"
     s = p.ring.scale
-    bits = []
-    for exp, c in p.terms():
-        factors = []
-        for j, e in enumerate(exp, start=1):
-            if e == 0:
-                continue
-            if e % s == 0:
-                q = e // s
-                factors.append(f"{var}{j}" if q == 1 else f"{var}{j}^{q}")
-            else:
-                fr = Fraction(e, s)
-                factors.append(f"{var}{j}^({fr.numerator}/{fr.denominator})")
-        mon = "*".join(factors)
-        if not mon:
-            bits.append(str(c))
-        elif c == 1:
-            bits.append(mon)
-        else:
-            bits.append(f"{c}*{mon}")
-    return " + ".join(bits)
+    nonzero = p._exps != 0
+    first = nonzero.argmax(axis=1)  # the first factor of a monomial has no leading '*'
+    bits = _lookup(p._coeffs, lambda c: "" if c == 1 else f"{c}*")
+    for j, column in enumerate(p._exps.T):
+        np.add(bits, _lookup(column, lambda e: _power(j + 1, e, s, var), first == j), out=bits)
+    const = np.flatnonzero(~nonzero.any(axis=1))
+    bits[const] = [str(c) for c in p._coeffs[const].tolist()]
+    return " + ".join(bits.tolist())

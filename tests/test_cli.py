@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -71,6 +72,21 @@ def test_expand_a2(capsys):
     assert by_name["p1"]["terms"] == 10
     assert by_name["p2"]["terms"] == 10
     assert "expansion_truncated" not in p
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # exponent scale 2: half-integral exponents render as x^(k/2)
+        (("invariants", "C", "6", "--expand"), "059afe190f10489674601bfedd692885c266174e2f4113fbffc4dc9b29acb34b"),
+        # scale 3, coefficients up to 8,640
+        (("invariants", "E", "6", "--expand"), "67b5cb68a632956132c39982237a0c99f34d3f9cd85f2154ff658449d4919bbc"),
+    ],
+)
+def test_expansion_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_expand_orbit_cap_truncation(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -123,3 +124,17 @@ def test_render():
     s = render(p)
     assert s == "3*x1^-1*x2 + 7 + x1^(1/2) + x1"
     assert render(LaurentPoly.zero(ring)) == "0"
+
+
+def test_long_products_are_formed_in_bounded_blocks():
+    # 3000 x 3000 = 9 million term pairs and 5,999 terms out; all pairs at once need about 300 MB.
+    ring = ExponentLattice(1, 1)
+    a = LaurentPoly(ring, {(k,): 1 for k in range(3000)})
+    tracemalloc.start()
+    try:
+        square = a * a
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square.terms() == tuple(((k,), min(k, 5998 - k) + 1) for k in range(5999))
+    assert peak < 64 * 2**20

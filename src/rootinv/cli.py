@@ -3,7 +3,8 @@ relation regeneration, class groups, and a replayable self-check.
 
 All commands print a JSON document with a schema_version field and fully
 canonical ordering, so identical invocations produce identical bytes.
-Exit status: 0 success, 1 verification failure, 2 usage error.
+Exit status: 0 success, 1 verification failure or internal error, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     InvalidRank,
     OrbitCapExceeded,
     RootinvError,
+    UsageError,
 )
 from .intlinalg import det_int
 from .laurent import LaurentPoly, is_invariant, orbit_sum_weight_coords, render
@@ -100,7 +102,7 @@ def _monoid_payload(m) -> dict:
 def cmd_invariants(args: argparse.Namespace) -> int:
     t = _parse_type(args)
     if args.degree_bound is not None and args.degree_bound < 1:
-        raise ValueError(f"--degree-bound must be at least 1, got {args.degree_bound}")
+        raise UsageError(f"--degree-bound must be at least 1, got {args.degree_bound}")
     rs = build(t)
     rep = report(rs, args.box_cap)
     failed = False
@@ -186,34 +188,21 @@ def _relations_block(
 
 
 def cmd_hilbert(args: argparse.Namespace) -> int:
-    if args.ker:
-        inst = KernelInstance(tuple(int(x) for x in args.ker.split()))
-        basis = hilbert_basis_kernel(inst)
-        payload = {
-            "kind": "kernel",
-            "coefficients": list(inst.coeffs),
-            "basis": [list(v) for v in basis],
-            "count": len(basis),
-        }
-    else:
-        with open(args.monoid) as fh:
-            inst = parse_instance(fh.read())
-        if isinstance(inst, KernelInstance):
-            basis = hilbert_basis_kernel(inst)
-            payload = {
-                "kind": "kernel",
-                "coefficients": list(inst.coeffs),
-                "basis": [list(v) for v in basis],
-                "count": len(basis),
-            }
+    try:
+        if args.ker is not None:
+            inst = KernelInstance(tuple(int(x) for x in args.ker.split()))
         else:
-            basis = hilbert_basis_box(inst, args.box_cap)
-            payload = {
-                "kind": "congruence",
-                "monoid": _monoid_payload(inst),
-                "basis": [list(v) for v in basis],
-                "count": len(basis),
-            }
+            with open(args.monoid) as fh:
+                inst = parse_instance(fh.read())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if isinstance(inst, KernelInstance):
+        basis = hilbert_basis_kernel(inst)
+        payload = {"kind": "kernel", "coefficients": list(inst.coeffs)}
+    else:
+        basis = hilbert_basis_box(inst, args.box_cap)
+        payload = {"kind": "congruence", "monoid": _monoid_payload(inst)}
+    payload.update(basis=[list(v) for v in basis], count=len(basis))
     _emit(_document("hilbert", payload))
     return 0
 
@@ -512,11 +501,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidRank, DimensionMismatch, ValueError, OSError) as exc:
+    except (InvalidRank, DimensionMismatch, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # raised inside the mathematics, not by the input
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except RootinvError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,10 @@ class RootinvError(Exception):
     """Base class for all toolkit errors."""
 
 
+class UsageError(RootinvError):
+    """Command-line input is malformed."""
+
+
 class InvalidRank(RootinvError):
     """Requested rank is outside the admissible range for the family."""
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfiniteQuotient
@@ -81,19 +81,9 @@ class RatVector:
     @staticmethod
     def from_fractions(fs: Sequence[Fraction | int]) -> "RatVector":
         fr = [Fraction(f) for f in fs]
-        den = 1
-        for f in fr:
-            den = den * f.denominator // gcd(den, f.denominator)
-        nums = tuple(int(f * den) for f in fr)
-        g = den
-        for x in nums:
-            g = gcd(g, x)
-            if g == 1:
-                break
-        if g > 1:
-            nums = tuple(x // g for x in nums)
-            den //= g
-        return RatVector(nums, den)
+        # the lcm of reduced denominators is already coprime to the numerators
+        den = lcm(*(f.denominator for f in fr))
+        return RatVector(tuple(int(f * den) for f in fr), den)
 
     def to_fractions(self) -> QVec:
         return tuple(Fraction(x, self.den) for x in self.nums)

@@ -3,7 +3,11 @@
 Ambient dimensions: the rank-(n-1) symmetric-group family sits in R^n, the
 B/C/D families in R^n, G2 in R^3, F4 in R^4 and E6/E7/E8 in R^8.  Simple
 bases follow the Bourbaki planches, so every downstream index (weights,
-congruence coefficients, generator orders) is in Bourbaki order.
+congruence coefficients, generator orders) is in Bourbaki order.  The
+roots are the Weyl orbits of the simple roots, walked on one canonical-parent
+tree with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
+coefficients m_i of the highest root (Bourbaki, Lie Groups and Lie Algebras,
+Ch. VI, 2).
 """
 
 from __future__ import annotations
@@ -11,11 +15,11 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial, gcd
+from math import factorial, lcm, prod
+from typing import Iterator, Sequence
 
 from .errors import InvalidRank
-from .intlinalg import IntMatrix, QVec, RatVector, invert_rational
+from .intlinalg import IntMatrix, QVec, RatVector, det_int, invert_rational
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -93,11 +97,7 @@ class RootSystem:
     @property
     def weight_scale(self) -> int:
         """Lcm of all alpha-coordinate denominators of fundamental weights."""
-        s = 1
-        for w in self.fundamental_weights_alpha:
-            for c in w:
-                s = s * c.denominator // gcd(s, c.denominator)
-        return s
+        return lcm(*self.weight_orders)
 
     def pairing_with_simple(self, v: QVec) -> tuple[Fraction, ...]:
         return tuple(_pairing(v, a) for a in self.simple_roots)
@@ -187,105 +187,54 @@ def _vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
 
 
-def _all_roots(t: RootSystemType, dim: int) -> list[QVec]:
-    fam, n = t.family, t.rank
-    roots: list[QVec] = []
-    if fam == "A":
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    v = [Q(0)] * dim
-                    v[i], v[j] = Q(1), Q(-1)
-                    roots.append(tuple(v))
-    elif fam in ("B", "C", "D"):
-        for i, j in combinations(range(n), 2):
-            for si, sj in product((1, -1), repeat=2):
-                v = [Q(0)] * n
-                v[i], v[j] = Q(si), Q(sj)
-                roots.append(tuple(v))
-        if fam != "D":
-            scale = 1 if fam == "B" else 2
-            for i in range(n):
-                for s in (1, -1):
-                    v = [Q(0)] * n
-                    v[i] = Q(s * scale)
-                    roots.append(tuple(v))
-    elif fam == "G":
-        base = [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
-        for v in base:
-            roots.append(tuple(Q(x) for x in v))
-            roots.append(tuple(Q(-x) for x in v))
-    elif fam == "F":
-        for i in range(4):
-            for s in (1, -1):
-                v = [Q(0)] * 4
-                v[i] = Q(s)
-                roots.append(tuple(v))
-        for i, j in combinations(range(4), 2):
-            for si, sj in product((1, -1), repeat=2):
-                v = [Q(0)] * 4
-                v[i], v[j] = Q(si), Q(sj)
-                roots.append(tuple(v))
-        for signs in product((1, -1), repeat=4):
-            roots.append(tuple(Q(s, 2) for s in signs))
-    else:  # E types, inside R^8
-        if n == 8:
-            for i, j in combinations(range(8), 2):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [Q(0)] * 8
-                    v[i], v[j] = Q(si), Q(sj)
-                    roots.append(tuple(v))
-            for signs in product((1, -1), repeat=8):
-                if signs.count(-1) % 2 == 0:
-                    roots.append(tuple(Q(s, 2) for s in signs))
-        elif n == 7:
-            for i, j in combinations(range(6), 2):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [Q(0)] * 8
-                    v[i], v[j] = Q(si), Q(sj)
-                    roots.append(tuple(v))
-            for s in (1, -1):
-                v = [Q(0)] * 8
-                v[6], v[7] = Q(-s), Q(s)
-                roots.append(tuple(v))
-            for signs in product((1, -1), repeat=6):
-                if signs.count(-1) % 2 == 1:
-                    for s in (1, -1):
-                        half = [Q(s * x, 2) for x in signs] + [Q(-s, 2), Q(s, 2)]
-                        roots.append(tuple(half))
-        else:  # n == 6
-            for i, j in combinations(range(5), 2):
-                for si, sj in product((1, -1), repeat=2):
-                    v = [Q(0)] * 8
-                    v[i], v[j] = Q(si), Q(sj)
-                    roots.append(tuple(v))
-            for signs in product((1, -1), repeat=5):
-                if signs.count(-1) % 2 == 0:
-                    for s in (1, -1):
-                        half = [Q(s * x, 2) for x in signs] + [Q(-s, 2), Q(-s, 2), Q(s, 2)]
-                        roots.append(tuple(half))
-    return roots
+def dominant(cartan_rows, m: Sequence) -> tuple:
+    """The dominant point of the W-orbit of m, given in weight coordinates.
+
+    s_i acts by m_j -> m_j - m_i * cartan[j][i].  Reflecting in a negative
+    coordinate adds -m_i * alpha_i, so the point rises until it is dominant.
+    """
+    m = tuple(m)
+    while any(x < 0 for x in m):
+        i = next(i for i, x in enumerate(m) if x < 0)
+        mi = m[i]
+        m = tuple(a - mi * row[i] for a, row in zip(m, cartan_rows))
+    return m
 
 
-ROOT_COUNTS = {
-    "A": lambda n: n * (n + 1),
-    "B": lambda n: 2 * n * n,
-    "C": lambda n: 2 * n * n,
-    "D": lambda n: 2 * n * (n - 1),
-    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
-    "F": lambda n: 48,
-    "G": lambda n: 12,
-}
+def orbit_tree(cartan_rows, top: Sequence) -> Iterator[tuple]:
+    """Each point of the W-orbit of the dominant point top, once, level by level.
 
-WEYL_ORDERS = {
-    "A": lambda n: factorial(n + 1),
-    "B": lambda n: (1 << n) * factorial(n),
-    "C": lambda n: (1 << n) * factorial(n),
-    "D": lambda n: (1 << (n - 1)) * factorial(n),
-    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
-    "F": lambda n: 1152,
-    "G": lambda n: 12,
-}
+    Every other point mu has one canonical parent s_i mu, where i is the
+    first negative coordinate of mu (its first descent; Casselman, Invent.
+    Math. 116, 1994).  So the children of mu are the s_i mu with mu_i > 0
+    whose coordinates 0..i-1 are all nonnegative.  A point is yielded before
+    its children are built, so a caller that stops early has built no more
+    than the children of the points it has seen.
+    """
+    cols = tuple(zip(*cartan_rows))
+    level = [tuple(top)]
+    while level:
+        children = []
+        for mu in level:
+            yield mu
+            for i, mi in enumerate(mu):
+                if mi > 0:
+                    nu = tuple(a - mi * c for a, c in zip(mu, cols[i]))
+                    if min(nu[:i], default=0) >= 0:
+                        children.append(nu)
+        level = children
+
+
+def _matmul(a, b) -> list[list[int]]:
+    """Product of two integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _over(nums: list[list[int]], den: int) -> tuple[QVec, ...]:
+    """The rows of the integer matrix nums divided by den, as Fractions."""
+    frac = {x: Q(x, den) for x in {x for row in nums for x in row}}  # a few distinct values
+    return tuple(tuple(frac[x] for x in row) for row in nums)
 
 
 def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
@@ -294,43 +243,40 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
         t = RootSystemType.parse(t, rank)
     dim, alphas = _simple_roots(t)
     n = t.rank
-    cartan_rows = [
-        [int(_pairing(alphas[j], alphas[i])) for j in range(n)] for i in range(n)
-    ]
+    den = lcm(*(x.denominator for a in alphas for x in a))
+    simple = [[int(x * den) for x in a] for a in alphas]  # den * alpha_i, integral
+    gram = _matmul(simple, list(zip(*simple)))
+    # entry (i, j) = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)
+    cartan_rows = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
     cartan = IntMatrix.from_rows(cartan_rows)
-    roots = _all_roots(t, dim)
-    if len(roots) != ROOT_COUNTS[t.family](n):
-        raise AssertionError(f"root count mismatch for {t.name}")
 
     # fundamental weights: rows of the inverse transposed Cartan matrix are
     # the alpha-coordinates (so that <w_i, alpha_j^vee> = delta_ij)
     inv = invert_rational(cartan_rows)  # rows of cartan^{-1}
     walpha = tuple(tuple(inv[k][i] for k in range(n)) for i in range(n))
-    wamb = []
-    for i in range(n):
-        v = [Q(0)] * dim
-        for c, a in zip(walpha[i], alphas):
-            for k in range(dim):
-                v[k] += c * a[k]
-        wamb.append(tuple(v))
-    orders = []
-    for i in range(n):
-        z = 1
-        for c in walpha[i]:
-            z = z * c.denominator // gcd(z, c.denominator)
-        orders.append(z)
+    f = det_int(cartan)  # |P/Q|
+    adj_t = [[int(inv[k][i] * f) for k in range(n)] for i in range(n)]  # f * walpha, integral
+    weights = _matmul(adj_t, simple)  # f * den * w_i in ambient coordinates, integral
+
+    # roots: the orbits of the simple roots, whose weight coordinates are the
+    # Cartan columns; W is transitive on the roots of each length
+    by_length = {row[i]: i for i, row in enumerate(gram)}
+    tops = [dominant(cartan_rows, [row[j] for row in cartan_rows]) for j in by_length.values()]
+    pts = [m for top in tops for m in orbit_tree(cartan_rows, top)]
+    # the highest root is the dominant root of greatest height; f * its alpha-coordinates
+    highest = max(_matmul(tops, adj_t), key=sum)
 
     inv_t = tuple(tuple(inv[i][k] for k in range(n)) for i in range(n))
     return RootSystem(
         rtype=t,
         ambient_dim=dim,
         simple_roots=tuple(alphas),
-        roots=tuple(roots),
+        roots=_over(_matmul(pts, weights), f * den),
         cartan=cartan,
-        fundamental_weights_ambient=tuple(wamb),
+        fundamental_weights_ambient=_over(weights, f * den),
         fundamental_weights_alpha=walpha,
-        weight_orders=tuple(orders),
-        weyl_order=WEYL_ORDERS[t.family](n),
+        weight_orders=tuple(lcm(*(c.denominator for c in w)) for w in walpha),
+        weyl_order=factorial(n) * f * prod(x // f for x in highest),
         _alpha_solver=inv_t,
     )
 

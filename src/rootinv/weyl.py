@@ -6,8 +6,11 @@ vectors of root-lattice coordinates.  Bulk enumeration runs on compact
 numpy int8 stacks (entries of Weyl matrices are bounded by the highest
 root's coordinates) with exact integer arithmetic throughout.  It is
 graded by Coxeter length: s_i w is longer than w exactly when the i-th
-weight coordinate of w(2*rho) is positive, so each level is built from
-the one before alone.
+weight coordinate of w(rho) is positive.  Group levels, orbits and roots
+all walk one canonical-parent tree, so nothing is deduplicated: every
+w != 1 has the one parent s_i w where i is its first descent, the first
+negative weight coordinate of w(rho); for an orbit point mu, i is the first
+negative coordinate of mu (Casselman, Invent. Math. 116, 1994).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from .intlinalg import IntMatrix, RatVector, rank_int, smith_normal_form
-from .rootsystem import RootSystem, sorted_ratvectors
+from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_GROUP_CAP = 4_000_000
@@ -152,73 +155,53 @@ def orbit(rs: RootSystem, v: Sequence[Fraction | int], cap: int = DEFAULT_ORBIT_
 
 def orbit_weight_coords(
     rs: RootSystem, m: Sequence[int | Fraction], cap: int = DEFAULT_ORBIT_CAP
-) -> set[tuple[int | Fraction, ...]]:
+) -> list[tuple[int | Fraction, ...]]:
     """Orbit of a vector given in weight coordinates (rational off the weight lattice).
 
-    s_i acts by m_j -> m_j - m_i * cartan[j][i].
+    Walks the canonical-parent tree from the orbit's dominant point, so each
+    point comes once; raises OrbitCapExceeded as soon as a point beyond the
+    cap is reached.
     """
-    n = rs.rank
     cart = rs.cartan.rows
-    start = tuple(m)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for i in range(n):
-                xi = x[i]
-                if xi == 0:
-                    continue  # fixed by s_i
-                y = tuple(x[j] - xi * cart[j][i] for j in range(n))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise OrbitCapExceeded(f"orbit larger than {cap}")
-        frontier = nxt
-    return seen
-
-
-def _two_rho_alpha(rs: RootSystem) -> np.ndarray:
-    coords = []
-    for i in range(rs.rank):
-        c = sum((w[i] for w in rs.fundamental_weights_alpha), Q(0)) * 2
-        if c.denominator != 1:
-            raise AssertionError("2*rho must lie in the root lattice")
-        coords.append(int(c))
-    return np.array(coords, dtype=np.int64)
+    pts = []
+    for mu in orbit_tree(cart, dominant(cart, m)):
+        if len(pts) == cap:
+            raise OrbitCapExceeded(f"orbit larger than {cap}")
+        pts.append(mu)
+    return pts
 
 
 def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
     """Yield the elements of W by Coxeter length, as int8 stacks (F, n, n).
 
     Raises GroupCapExceeded when |W| > cap, before the first level, and
-    AssertionError when the levels do not add up to |W|.  A level is
-    deduplicated on its keys w(2*rho), on which the action is free.
+    AssertionError when the levels do not add up to |W|.  Each element is
+    built once, from its canonical parent (see rootsystem.orbit_tree): w(rho)
+    is carried in weight coordinates, and s_i w is a child of w when
+    (w rho)_i > 0 and coordinates 0..i-1 of s_i w(rho) are all positive.
     """
     if rs.weyl_order > cap:
         raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
     n = rs.rank
     cartan = np.array(rs.cartan.rows, dtype=np.int64)
     level = np.eye(n, dtype=np.int8)[None, :, :]
-    keys = _two_rho_alpha(rs)[None, :]
+    rho = np.ones((1, n), dtype=np.int64)  # weight coordinates of w(rho)
     total = 0
     while level.shape[0]:
         yield level
         total += level.shape[0]
-        weights = keys @ cartan.T
-        cands, cand_keys = [], []
+        mats, rhos = [], []
         for i in range(n):
-            up = weights[:, i] > 0  # s_i w is one step longer
-            new, new_keys = level[up], keys[up]
+            up = np.flatnonzero(rho[:, i] > 0)  # s_i w is one step longer
+            r = rho[up] - rho[up, i, None] * cartan[:, i]
+            first = (r[:, :i] > 0).all(axis=1)  # i is the first descent of s_i w
+            new = level[up[first]]
             new[:, i, :] -= np.einsum("j,fjk->fk", cartan[i], new.astype(np.int64)).astype(np.int8)
-            new_keys[:, i] -= weights[up, i]
-            cands.append(new)
-            cand_keys.append(new_keys)
-        keys, idx = np.unique(np.concatenate(cand_keys), axis=0, return_index=True)
-        level = np.concatenate(cands)[idx]
+            mats.append(new)
+            rhos.append(r[first])
+        level, rho = np.concatenate(mats), np.concatenate(rhos)
     if total != rs.weyl_order:
-        raise AssertionError(f"closure found {total} elements, classical order is {rs.weyl_order}")
+        raise AssertionError(f"closure found {total} elements, the order formula gives {rs.weyl_order}")
 
 
 def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:

@@ -101,6 +101,7 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "info", "A")[0] == 2
     assert run_cli(capsys, "info", "E", "9")[0] == 2
     assert run_cli(capsys, "hilbert", "--ker", "1 a")[0] == 2
+    assert run_cli(capsys, "hilbert", "--ker", "")[0] == 2
     assert run_cli(capsys, "hilbert", "--monoid", "/nonexistent/file")[0] == 2
     assert run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", "0")[0] == 2
     assert run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", "-1")[0] == 2
@@ -121,6 +122,25 @@ def test_usage_errors(capsys):
             cli.main(argv)
         assert ei.value.code == 2
         assert f"argument {argv[-2]}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["2\n1 x mod 3\n", "2\n1 1 mod 1\n", "2\n1 1 3\n", "ker: 1 2\n", "\n"])
+def test_malformed_monoid_file_is_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "bad.monoid"
+    path.write_text(text)
+    assert cli.main(["hilbert", "--monoid", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_value_error_in_the_mathematics_is_an_internal_error(capsys, monkeypatch):
+    def broken(rs):
+        raise ValueError("reflection does not preserve the root lattice")
+
+    monkeypatch.setattr("rootinv.weyl.root_reflections", broken)
+    code = cli.main(["classgroup", "A", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "internal error: reflection does not preserve the root lattice\n"
 
 
 def test_hilbert_monoid_file(capsys, tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -17,6 +18,34 @@ ALL_SMALL = (
     + [("D", n) for n in range(3, 8)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
+
+ALL_TYPES = (
+    [("A", r) for r in range(1, 10)]
+    + [("B", n) for n in range(2, 10)]
+    + [("C", n) for n in range(2, 10)]
+    + [("D", n) for n in range(3, 10)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+# closed formulas, independent of how the library finds roots and |W|
+ROOT_COUNT = {
+    "A": lambda n: n * (n + 1),
+    "B": lambda n: 2 * n * n,
+    "C": lambda n: 2 * n * n,
+    "D": lambda n: 2 * n * (n - 1),
+    "E": lambda n: {6: 72, 7: 126, 8: 240}[n],
+    "F": lambda n: 48,
+    "G": lambda n: 12,
+}
+WEYL_ORDER = {
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "C": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
+    "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
+    "F": lambda n: 1152,
+    "G": lambda n: 12,
+}
 
 
 def _build(fam, rank):
@@ -49,6 +78,18 @@ def test_root_counts():
     for (fam, rank), count in expected.items():
         rs = _build(fam, rank)
         assert len(rs.roots) == count, (fam, rank)
+    for fam, rank in ALL_TYPES:
+        rs = _build(fam, rank)
+        assert len(rs.roots) == len(set(rs.roots)) == ROOT_COUNT[fam](rank), (fam, rank)
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_roots_are_integral_and_of_simple_root_lengths(fam, rank):
+    rs = _build(fam, rank)
+    lengths = {sum(x * x for x in a) for a in rs.simple_roots}
+    for beta in rs.roots:
+        assert all(p.denominator == 1 for p in rs.pairing_with_simple(beta)), beta
+        assert sum(x * x for x in beta) in lengths, beta
 
 
 def test_cartan_determinants():
@@ -167,6 +208,8 @@ def test_weyl_orders_classical_formulas():
     assert _build("E", 8).weyl_order == 696729600
     assert _build("F", 4).weyl_order == 1152
     assert _build("G", 2).weyl_order == 12
+    for fam, rank in ALL_TYPES:
+        assert _build(fam, rank).weyl_order == WEYL_ORDER[fam](rank), (fam, rank)
 
 
 def test_invalid_ranks():

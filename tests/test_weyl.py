@@ -110,6 +110,46 @@ def test_orbit_cap():
         orbit_weight_coords(rs, (1, 1, 1, 1), cap=10)
 
 
+@pytest.mark.parametrize("name,order", [("E6", 51840), ("F4", 1152)])
+def test_orbit_of_rho_has_no_repeated_points(name, order):
+    rs = build(RootSystemType.parse(name))
+    pts = orbit_weight_coords(rs, (1,) * rs.rank)
+    assert len(pts) == len(set(pts)) == order
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "G2", "F4"])
+def test_non_dominant_start_gives_the_orbit_of_its_dominant_point(name):
+    from fractions import Fraction as F
+
+    rs = build(RootSystemType.parse(name))
+    n = rs.rank
+    tops = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    tops += [(1,) * n, (2,) + (0,) * (n - 1), tuple(F(k + 1, 3) for k in range(n))]
+    for top in tops:
+        want = orbit_weight_coords(rs, top)
+        assert want[0] == top  # the walk starts at the dominant point
+        for start in (want[1], want[len(want) // 2], want[-1]):
+            assert min(start) < 0
+            got = orbit_weight_coords(rs, start)
+            assert len(got) == len(want) and set(got) == set(want), (name, top, start)
+
+
+def test_orbit_cap_is_checked_before_a_point_is_kept(monkeypatch):
+    import rootinv.weyl as weyl
+
+    walk, drawn = weyl.orbit_tree, []
+
+    def counting(cartan_rows, top):
+        for mu in walk(cartan_rows, top):
+            drawn.append(mu)
+            yield mu
+
+    monkeypatch.setattr(weyl, "orbit_tree", counting)
+    with pytest.raises(OrbitCapExceeded):
+        orbit_weight_coords(build("E", 6), (1,) * 6, cap=100)
+    assert len(drawn) == 101  # of 51,840: the walk stops at the first point beyond the cap
+
+
 def test_group_enumeration_small():
     orders = {"A1": 2, "A2": 6, "A3": 24, "B2": 8, "B3": 48, "C3": 48, "D4": 192, "G2": 12, "F4": 1152}
     for name, order in orders.items():

@@ -132,7 +132,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         payload["hironaka_cells"] = [list(c) for c in rep.cells]
         payload["hironaka_cell_count"] = len(rep.cells)
     if args.relations:
-        payload["relations"] = _relations_block(t.name, rep, args.degree_bound, args.box_cap)
+        payload["relations"] = _relations_block(t.name, rep, args.degree_bound)
         fx = payload["relations"].get("fixture")
         failed = fx is not None and not (fx["equivalent"] and fx["all_relations_verify"])
     if args.expand:
@@ -152,23 +152,25 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _relations_block(
-    type_name: str, rep: InvariantReport, degree_bound: int | None, box_cap: int
-) -> dict:
+def _relations_block(type_name: str, rep: InvariantReport, degree_bound: int | None) -> dict:
     """Binomial relations of the generators up to a degree bound, against the shipped fixture.
 
-    The generators are the residual's Hilbert basis, or else the full one.  The
-    default bound is the fixture's highest relation degree (3 without a fixture).
-    Equivalence is claimed only at a bound that reaches every fixture relation.
+    The generators are the residual's Hilbert basis, or else the full one.  As
+    M = Z+^free x M_res, the residual's basis is the basis elements that vanish
+    on the free coordinates, projected onto the others.  The default bound is
+    the fixture's highest relation degree (3 without a fixture).  Equivalence
+    is claimed only at a bound that reaches every fixture relation.
     """
     name = _FIXTURES.get(type_name)
     fixture = load_fixture(name) if name else None
     top = max(r.degree() for r in fixture.relations) if fixture else 3
     bound = degree_bound or top
-    if rep.residual is not None:
-        basis = graded_lex_sorted(hilbert_basis_box(rep.residual, box_cap))
-    else:
-        basis = graded_lex_sorted(rep.hilbert_basis)
+    free = rep.free_coordinates if rep.residual is not None else ()
+    basis = graded_lex_sorted(
+        tuple(x for i, x in enumerate(h) if i not in free)
+        for h in rep.hilbert_basis
+        if not any(h[i] for i in free)
+    )
     rels = relations_bounded(basis, bound)
     block = {
         "degree_bound": bound,
@@ -292,7 +294,7 @@ def _check_a2_identities() -> str:
 
 
 def _relation_check(type_name: str) -> str:
-    block = _relations_block(type_name, report(build(type_name)), None, DEFAULT_BOX_CAP)
+    block = _relations_block(type_name, report(build(type_name)), None)
     fx = block["fixture"]
     _expect(fx["all_relations_verify"], "a fixture relation fails")
     _expect(fx["equivalent"], "regeneration not equivalent")

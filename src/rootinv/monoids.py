@@ -4,6 +4,10 @@ Two independent Hilbert-basis routes are provided: a fundamental-box scan
 (for finite-index congruence sublattices) and a Contejean-Devie style
 completion procedure for kernels of integer rows.  They are used to
 cross-check each other in the test suite.
+
+One boolean box mask feeds the cells, the box basis and the partition check.
+In M = L cap Z+^n, a <= v in M puts v - a in M, so the basis's box points are
+the minimal nonzero ones: no other nonzero monoid point lies below them.
 """
 
 from __future__ import annotations
@@ -57,14 +61,10 @@ class CongruenceMonoid:
 
     def generator_orders(self) -> IntVec:
         """Minimal t_i > 0 with t_i * e_i in the underlying lattice."""
-        out = []
-        for i in range(self.dim):
-            z = 1
-            for c in self.congruences:
-                m = c.modulus
-                z = lcm(z, m // gcd(c.coeffs[i], m))
-            out.append(z)
-        return tuple(out)
+        return tuple(
+            lcm(*(c.modulus // gcd(c.coeffs[i], c.modulus) for c in self.congruences))
+            for i in range(self.dim)
+        )
 
     def lattice_basis(self) -> IntMatrix:
         """Columns form a basis of {v in Z^dim : all congruences hold}."""
@@ -84,11 +84,7 @@ class CongruenceMonoid:
 
     def lattice_index(self) -> int:
         """Index of the congruence lattice inside Z^dim."""
-        sf = smith_normal_form(self.lattice_basis())
-        out = 1
-        for d in sf.diagonal:
-            out *= d
-        return out
+        return prod(smith_normal_form(self.lattice_basis()).diagonal)
 
     def serialize(self) -> str:
         lines = [str(self.dim)]
@@ -151,32 +147,32 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     return CongruenceMonoid(dim, tuple(congs))
 
 
-def _box_points(congruences: Sequence[Congruence], sizes: Sequence[int]) -> np.ndarray:
-    """Points of prod [0, s_i) satisfying every congruence, as rows in lexicographic order.
+def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str) -> np.ndarray:
+    """Boolean mask of the monoid points of prod [0, s_i), after a cap check that allocates nothing.
 
     Residues are outer sums of a_i * x mod m in int64: dividing a congruence by
     gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
-    prod(z), and both callers bound prod(z) by the box cap before the scan.
+    prod(z) for the generator orders z; that product is capped here when the
+    sizes are z, and otherwise by the box scan that the caller runs first.
     """
+    size = prod(sizes)
+    if size > box_cap:
+        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}")
     mask = np.ones(tuple(sizes), dtype=bool)
-    for c in congruences:
+    for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
-        m = c.modulus // g
+        mod = c.modulus // g
         res = np.zeros((), dtype=np.int64)
         for a, s in zip(c.coeffs, sizes):
-            res = np.add.outer(res, np.fromiter((a // g * x % m for x in range(s)), np.int64, s))
-            np.remainder(res, m, out=res)
+            res = np.add.outer(res, np.fromiter((a // g * x % mod for x in range(s)), np.int64, s))
+            np.remainder(res, mod, out=res)
         mask &= res == 0
-    return np.argwhere(mask)
+    return mask
 
 
 def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
     """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
-    z = m.generator_orders()
-    size = prod(z)
-    if size > box_cap:
-        raise BoxCapExceeded(f"box has {size} points, cap is {box_cap}")
-    pts = _box_points(m.congruences, z)
+    pts = np.argwhere(_box_mask(m, m.generator_orders(), box_cap, "box"))
     pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
     return tuple(map(tuple, pts.tolist()))
 
@@ -184,17 +180,20 @@ def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[I
 def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> HilbertBasis:
     """Hilbert basis via the fundamental-box construction.
 
-    The basis is the union of the scaled unit vectors z_i * e_i and the
-    additively indecomposable nonzero box points.
+    The basis is the scaled unit vectors z_i * e_i and the minimal nonzero box
+    points: v is irreducible exactly when no nonzero monoid point a != v has
+    a <= v, that is, when no nonzero monoid point lies below any v - e_i.
     """
-    z = m.generator_orders()
-    pts = [p for p in box_elements(m, box_cap) if any(p)]
-    indecomposable: list[IntVec] = []
-    for v in pts:  # graded order: any proper summand precedes v
-        if not any(all(h[i] <= v[i] for i in range(m.dim)) for h in indecomposable if h != v):
-            indecomposable.append(v)
-    gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(z)]
-    return HilbertBasis(graded_lex_sorted(gens + indecomposable))
+    mask = _box_mask(m, m.generator_orders(), box_cap, "box")
+    mask.flat[0] = False  # the origin
+    below = mask.copy()  # below[v]: some nonzero monoid point a <= v
+    for axis in range(m.dim):
+        np.logical_or.accumulate(below, axis=axis, out=below)
+    for axis in range(m.dim):
+        head = (slice(None),) * axis
+        mask[head + (slice(1, None),)] &= ~below[head + (slice(None, -1),)]
+    gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(mask.shape)]
+    return HilbertBasis(graded_lex_sorted(gens + np.argwhere(mask).tolist()))
 
 
 def hilbert_basis_kernel(
@@ -320,16 +319,7 @@ def toric_class_group(m: CongruenceMonoid) -> IntVec:
     functional rescaled to be primitive on that lattice (the gcd of its
     values); the rescaling only matters in degenerate low-rank cases.
     """
-    basis = m.lattice_basis()
-    rows = []
-    for i in range(m.dim):
-        row = list(basis.rows[i])
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        if g > 1:
-            row = [x // g for x in row]
-        rows.append(row)
+    rows = [[x // (gcd(*row) or 1) for x in row] for row in m.lattice_basis().rows]
     try:
         return cokernel_invariant_factors(IntMatrix.from_rows(rows))
     except Exception as exc:  # full-rank lattice cannot fail; re-raise with context
@@ -344,24 +334,23 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
     number of elements checked; raises AssertionError on any violation, and
     BoxCapExceeded before allocating a grid of more than box_cap points.
     """
-    grid_size = (bound + 1) ** m.dim
-    if grid_size > box_cap:
-        raise BoxCapExceeded(f"cell-partition grid has {grid_size} points, box cap is {box_cap}")
     cells = hironaka_cells(m, box_cap)
     if len(set(cells)) != len(cells):
         raise AssertionError("cells are not distinct")
     z = m.generator_orders()
     is_cell = np.zeros(z, dtype=bool)
     is_cell[tuple(np.array(cells).T)] = True
-    pts = _box_points(m.congruences, (bound + 1,) * m.dim)
-    hit = np.zeros(z, dtype=bool)
-    hit[tuple((pts % z).T)] = True
+    grid = _box_mask(m, (bound + 1,) * m.dim, box_cap, "cell-partition grid")
+    hit = grid
+    for axis, zi in enumerate(z):  # fold the grid onto the box: hit[r] = any grid[r + k z]
+        hit = np.pad(hit, [(0, -n % zi if k == axis else 0) for k, n in enumerate(hit.shape)])
+        hit = hit.reshape(hit.shape[:axis] + (-1, zi) + hit.shape[axis + 1 :]).any(axis=axis)
     stray = np.argwhere(hit & ~is_cell)
     if len(stray):
         raise AssertionError(f"residue {tuple(stray[0].tolist())} is not a cell")
     if bound >= max(z, default=1) - 1 and (hit != is_cell).any():
         raise AssertionError("some cell received no element despite exhaustive bound")
-    return len(pts)
+    return int(grid.sum())
 
 
 def member_of_generated(v: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:

@@ -7,6 +7,7 @@ algorithmic regression, not machine noise.
 
 from __future__ import annotations
 
+import os
 import resource
 import subprocess
 import sys
@@ -236,6 +237,7 @@ def test_criterion_09_property_suites():
 def test_criterion_10_selfcheck():
     proc = subprocess.run(
         [sys.executable, "-m", "rootinv.cli", "selfcheck"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # finds rootinv as we do
         capture_output=True,
         text=True,
         timeout=600,

@@ -10,7 +10,8 @@ import pytest
 
 from rootinv import cli
 from rootinv.errors import GroupCapExceeded
-from rootinv.reports import family_monoid
+from rootinv.monoids import graded_lex_sorted, hilbert_basis_box
+from rootinv.reports import family_monoid, report
 from rootinv.rootsystem import build
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -202,3 +203,19 @@ def test_fixture_equivalence_needs_every_fixture_degree(capsys, bound):
     code, out = run_cli(capsys, "invariants", "A", "3", "--relations", "--degree-bound", bound)
     assert code == 1
     assert json.loads(out)["payload"]["relations"]["fixture"]["equivalent"] is False
+
+
+# Every type among A1-A7, B2-B7, C2-C9, D4-D9, E6-E8, F4 and G2 whose monoid splits off a residual.
+_RESIDUAL_TYPES = (
+    [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(2, 10)]
+    + [f"D{n}" for n in range(4, 10)] + ["E6", "E7"]
+)
+
+
+@pytest.mark.parametrize("name", _RESIDUAL_TYPES)
+def test_relation_generators_are_the_residual_basis(name):
+    # M = Z+^free x M_res: the residual's basis is read off the report's basis
+    rep = report(build(name))
+    assert rep.residual is not None
+    want = graded_lex_sorted(hilbert_basis_box(rep.residual))
+    assert cli._relations_block(name, rep, 1)["generators"] == [list(v) for v in want]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from rootinv.errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
@@ -147,6 +149,20 @@ def test_verify_cell_partition_small():
     assert verify_cell_partition(family_monoid(build("D", 4)), 6) > 0
 
 
+def test_verify_cell_partition_folds_the_grid_in_bounded_memory():
+    # C6 at bound 10: 11^6 = 1,771,561 grid points; (points x 6) int64 arrays of the
+    # 886,446 monoid points among them need about 96 MB.
+    m = family_monoid(build("C", 6))
+    tracemalloc.start()
+    try:
+        checked = verify_cell_partition(m, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == 886_446
+    assert peak < 32 * 2**20
+
+
 def test_verify_cell_partition_checks_the_grid_cap_first():
     # 11^4 = 14641 grid points; the box of D4 itself has only 16
     with pytest.raises(BoxCapExceeded, match="grid has 14641 points, box cap is 1000"):
@@ -236,9 +252,17 @@ def test_parse_instance_input_checks():
 
 
 def test_box_cap():
+    # 10^8 box points: the cap must be checked before the mask is allocated
     big = CongruenceMonoid(4, (Congruence((1, 1, 1, 1), 100),))
-    with pytest.raises(BoxCapExceeded):
-        box_elements(big, box_cap=1000)
+    for scan in (box_elements, hilbert_basis_box, hironaka_cells):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoxCapExceeded, match="box has 100000000 points, box cap is 1000"):
+                scan(big, box_cap=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, scan.__name__
 
 
 def test_frontier_cap():

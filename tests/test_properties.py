@@ -1,5 +1,5 @@
-"""Property tests for the two text formats (monoid instances, binomials), the box scan and
-the Laurent kernel."""
+"""Property tests for the two text formats (monoid instances, binomials), the box scan, the
+box Hilbert basis and the Laurent kernel."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from rootinv.monoids import (
     KernelInstance,
     box_elements,
     graded_lex_sorted,
+    hilbert_basis_box,
     parse_instance,
 )
 from rootinv.relations import Binomial, parse_binomial
@@ -128,6 +129,25 @@ def _box_elements_reference(m: CongruenceMonoid) -> tuple:
 def test_box_elements_matches_the_pointwise_scan(m):
     got = box_elements(m)
     assert got == _box_elements_reference(m)
+    assert all(type(x) is int for v in got for x in v)
+
+
+def _hilbert_basis_reference(m: CongruenceMonoid) -> tuple:
+    """Scaled unit vectors plus the nonzero box points above no earlier indecomposable."""
+    indecomposable: list = []
+    for v in _box_elements_reference(m)[1:]:  # graded order: any proper summand precedes v
+        if not any(all(h[i] <= v[i] for i in range(m.dim)) for h in indecomposable):
+            indecomposable.append(v)
+    z = m.generator_orders()
+    gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(z)]
+    return graded_lex_sorted(gens + indecomposable)
+
+
+@settings(deadline=None)
+@given(box_monoids())
+def test_hilbert_basis_box_matches_the_pairwise_reference(m):
+    got = hilbert_basis_box(m).elements
+    assert got == _hilbert_basis_reference(m)
     assert all(type(x) is int for v in got for x in v)
 
 

@@ -7,15 +7,24 @@ by the relations found so far, a connecting binomial is emitted.  Two
 relation sets are considered equivalent when they induce identical
 connected-component partitions on every factorization fiber up to the
 degree bound.
+
+A degree-d factorization's value is its degree d-1 prefix's value plus one
+generator.  A fiber's components live in one union-find, built once from a
+move index, a dict from each relation side to its opposite sides that is
+looked up by the sub-vectors c <= f of each factorization f (at most
+2^bound of them).  Each emitted binomial is then applied to its fiber alone.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import product
 from math import comb
+from operator import add, mul, sub
 
 from .errors import DimensionMismatch, FiberCapExceeded
 from .intlinalg import IntVec
@@ -94,29 +103,27 @@ def verify_relation(basis: tuple[IntVec, ...], rel: Binomial) -> bool:
     """Both sides evaluate to the same monoid element."""
     if len(rel.plus) != len(basis):
         raise DimensionMismatch("relation arity != basis size")
-    dim = len(basis[0])
-    lhs = tuple(sum(rel.plus[k] * basis[k][i] for k in range(len(basis))) for i in range(dim))
-    rhs = tuple(sum(rel.minus[k] * basis[k][i] for k in range(len(basis))) for i in range(dim))
-    return lhs == rhs
+    return _value(basis, enumerate(rel.plus)) == _value(basis, enumerate(rel.minus))
 
 
 def verify_relation_laurent(rs: RootSystem, basis: tuple[IntVec, ...], rel: Binomial) -> bool:
     """Both sides expand to the same Laurent polynomial (exact arithmetic)."""
-    lhs = rhs = None
-    for k, e in enumerate(rel.plus):
-        if e:
-            p = omega_expand(rs, basis[k]) ** e
-            lhs = p if lhs is None else lhs * p
-    for k, e in enumerate(rel.minus):
-        if e:
-            p = omega_expand(rs, basis[k]) ** e
-            rhs = p if rhs is None else rhs * p
-    return lhs == rhs
+
+    def side(v: IntVec):
+        return reduce(mul, (omega_expand(rs, basis[k]) ** e for k, e in enumerate(v) if e))
+
+    return side(rel.plus) == side(rel.minus)
 
 
-def _value(basis: tuple[IntVec, ...], c: tuple[int, ...]) -> IntVec:
-    dim = len(basis[0])
-    return tuple(sum(c[k] * basis[k][i] for k in range(len(basis))) for i in range(dim))
+def _value(
+    basis: tuple[IntVec, ...], terms: Iterable[tuple[int, int]], start: IntVec | None = None
+) -> IntVec:
+    """start (zero by default) plus e·basis[k] for each (k, e) term."""
+    v = list(start or (0,) * len(basis[0]))
+    for k, e in terms:
+        for i, x in enumerate(basis[k]):
+            v[i] += e * x
+    return tuple(v)
 
 
 def _fibers(
@@ -125,47 +132,62 @@ def _fibers(
     g = len(basis)
     total = sum(comb(d + g - 1, g - 1) for d in range(1, degree_bound + 1))
     if total > fiber_cap:
-        raise FiberCapExceeded(f"{total} factorizations at bound {degree_bound}")
+        msg = f"{total} factorizations at bound {degree_bound}, fiber cap is {fiber_cap}"
+        raise FiberCapExceeded(f"{msg}; lower --degree-bound")
     by_value: dict[IntVec, list[tuple[int, ...]]] = {}
-    for d in range(1, degree_bound + 1):
-        for pick in combinations_with_replacement(range(g), d):
-            c = [0] * g
-            for k in pick:
-                c[k] += 1
-            by_value.setdefault(_value(basis, tuple(c)), []).append(tuple(c))
+    # (lowest generator still to multiply by, factorization, value), one degree at a time
+    level = [(0, (0,) * g, (0,) * len(basis[0]))]
+    for _ in range(degree_bound):
+        level = [
+            (k, c[:k] + (c[k] + 1,) + c[k + 1 :], _value(basis, ((k, 1),), v))
+            for low, c, v in level
+            for k in range(low, g)
+        ]
+        for _, c, v in level:
+            by_value.setdefault(v, []).append(c)
     out = [(val, sorted(facs)) for val, facs in by_value.items() if len(facs) > 1]
     out.sort(key=lambda kv: (min(sum(f) for f in kv[1]), sum(kv[0]), kv[0]))
     return out
 
 
-def _components(facs: list[tuple[int, ...]], rels: list[Binomial]) -> list[list[tuple[int, ...]]]:
-    index = {f: i for i, f in enumerate(facs)}
-    parent = list(range(len(facs)))
+def _move_index(
+    rels: Iterable[Binomial], moves: dict[IntVec, list[IntVec]] | None = None
+) -> dict[IntVec, list[IntVec]]:
+    """Each relation side -> the opposite sides it may be replaced by (added to moves if given)."""
+    moves = {} if moves is None else moves
+    for rel in rels:
+        moves.setdefault(rel.plus, []).append(rel.minus)
+        moves.setdefault(rel.minus, []).append(rel.plus)
+    return moves
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    for f in facs:
-        for rel in rels:
-            for src, dst in ((rel.plus, rel.minus), (rel.minus, rel.plus)):
-                if all(f[k] >= src[k] for k in range(len(f))):
-                    f2 = tuple(f[k] - src[k] + dst[k] for k in range(len(f)))
-                    if f2 in index:
-                        union(index[f], index[f2])
-    comps: dict[int, list[tuple[int, ...]]] = {}
-    for f in facs:
-        comps.setdefault(find(index[f]), []).append(f)
-    out = [sorted(c) for c in comps.values()]
-    out.sort(key=lambda c: c[0])
-    return out
+
+def _join(
+    facs: list[tuple[int, ...]], moves: dict[IntVec, list[IntVec]], parent: list[int] | None = None
+) -> list[int]:
+    """Union-find over a sorted fiber, joining f and f - c + d for every move c -> d with c <= f.
+
+    f - c + d has the value of f, so it is in the fiber unless its degree is
+    above the bound.  Every root is the smallest index of its set, so the
+    roots name the partition and the components keep their order.
+    """
+    parent = parent or list(range(len(facs)))
+    pos = {f: i for i, f in enumerate(facs)}
+    below = [range(e + 1) for e in range(max(map(max, facs)) + 1)]  # below[e]: 0..e
+    for i, f in enumerate(facs):
+        for c in product(*map(below.__getitem__, f)):
+            for d in moves.get(c, ()):
+                j = pos.get(tuple(map(add, map(sub, f, c), d)))
+                if j is not None:
+                    ri, rj = _find(parent, i), _find(parent, j)
+                    parent[max(ri, rj)] = min(ri, rj)
+    return parent
 
 
 def relations_bounded(
@@ -176,18 +198,19 @@ def relations_bounded(
     """Deterministic generating set for all fiber identifications up to the bound."""
     basis = graded_lex_sorted(basis)
     rels: list[Binomial] = []
+    moves: dict[IntVec, list[IntVec]] = {}
     for _, facs in _fibers(basis, degree_bound, fiber_cap):
-        comps = _components(facs, rels)
-        while len(comps) > 1:
-            u, v = comps[0][0], comps[1][0]
-            w = tuple(min(a, b) for a, b in zip(u, v))
-            rels.append(
-                Binomial(
-                    tuple(a - c for a, c in zip(u, w)),
-                    tuple(b - c for b, c in zip(v, w)),
-                ).canonical()
-            )
-            comps = _components(facs, rels)
+        parent = _join(facs, moves)
+        u = facs[0]
+        for i in range(1, len(facs)):
+            if _find(parent, i) == 0:
+                continue
+            # join the two components with the smallest factorizations, u and facs[i]
+            w = tuple(map(min, u, facs[i]))
+            rel = Binomial(tuple(map(sub, u, w)), tuple(map(sub, facs[i], w))).canonical()
+            rels.append(rel)
+            _join(facs, _move_index([rel]), parent)
+            _move_index([rel], moves)
     return tuple(sorted(rels, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 
@@ -200,10 +223,10 @@ def relations_equivalent(
 ) -> bool:
     """Same fiber partitions up to the bound."""
     basis = graded_lex_sorted(basis)
+    m1, m2 = _move_index(first), _move_index(second)
     for _, facs in _fibers(basis, degree_bound, fiber_cap):
-        c1 = _components(facs, list(first))
-        c2 = _components(facs, list(second))
-        if c1 != c2:
+        p1, p2 = _join(facs, m1), _join(facs, m2)
+        if any(_find(p1, i) != _find(p2, i) for i in range(len(facs))):
             return False
     return True
 
@@ -224,17 +247,12 @@ class RelationFixture:
         """Re-express the relations over a different ordering of the same set."""
         if sorted(self.generators) != sorted(target):
             raise DimensionMismatch("fixture and target generator sets differ")
-        pos = {g: i for i, g in enumerate(target)}
-        perm = [pos[g] for g in self.generators]
-        out = []
-        for rel in self.relations:
-            plus = [0] * len(target)
-            minus = [0] * len(target)
-            for k, e in enumerate(rel.plus):
-                plus[perm[k]] = e
-            for k, e in enumerate(rel.minus):
-                minus[perm[k]] = e
-            out.append(Binomial(tuple(plus), tuple(minus)).canonical())
+        src = {g: i for i, g in enumerate(self.generators)}
+        order = [src[g] for g in target]
+        out = [
+            Binomial(tuple(r.plus[i] for i in order), tuple(r.minus[i] for i in order)).canonical()
+            for r in self.relations
+        ]
         return tuple(sorted(out, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 

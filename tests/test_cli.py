@@ -90,6 +90,31 @@ def test_expansion_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        # 19 generators, 115 binomials up to degree 4
+        (("invariants", "A", "5", "--relations", "--degree-bound", "4"), "de45d3ac1dd812881da64aaf49bb5f8c2e2a074f6b74b1c80cbdea6b64988362"),
+        # 14 generators, 79 binomials up to degree 5
+        (("invariants", "A", "4", "--relations", "--degree-bound", "5"), "18f384a429812f1bf047bd68ac76ac19b890ca4a7697bbfb9403fffc58230d52"),
+    ],
+)
+def test_relations_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_fiber_cap_message_names_the_count_the_cap_and_the_way_out(capsys):
+    code = cli.main(["invariants", "A", "7", "--relations", "--degree-bound", "9"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    for part in ("97082021464 factorizations", "bound 9", "fiber cap is 2000000", "lower --degree-bound"):
+        assert part in line
+
+
 def test_expand_orbit_cap_truncation(capsys):
     code, out = run_cli(capsys, "invariants", "A", "2", "--expand", "--orbit-cap", "2")
     assert code == 0

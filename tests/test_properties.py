@@ -1,17 +1,17 @@
 """Property tests for the two text formats (monoid instances, binomials), the box scan, the
-box Hilbert basis and the Laurent kernel."""
+box Hilbert basis, the relation fibers and the Laurent kernel."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rootinv import cli
+from rootinv import cli, relations
 from rootinv.errors import DimensionMismatch
 from rootinv.laurent import ExponentLattice, LaurentPoly, act, render
 from rootinv.monoids import (
@@ -23,7 +23,7 @@ from rootinv.monoids import (
     hilbert_basis_box,
     parse_instance,
 )
-from rootinv.relations import Binomial, parse_binomial
+from rootinv.relations import Binomial, parse_binomial, relations_bounded, verify_relation
 from rootinv.weyl import WeylElement
 
 # Fragments of the instance format, so that random text often comes close to an instance.
@@ -149,6 +149,97 @@ def test_hilbert_basis_box_matches_the_pairwise_reference(m):
     got = hilbert_basis_box(m).elements
     assert got == _hilbert_basis_reference(m)
     assert all(type(x) is int for v in got for x in v)
+
+
+# Relation fibers: the move index against the all-pairs loop it replaced.
+@st.composite
+def fibered_bases(draw) -> tuple[tuple, int]:
+    dim = draw(st.integers(1, 3))
+    vector = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    basis = draw(st.lists(vector, min_size=2, max_size=6, unique=True))
+    return graded_lex_sorted(basis), draw(st.integers(1, 4))
+
+
+def _joining(u: tuple, v: tuple) -> Binomial:
+    w = tuple(map(min, u, v))
+    return Binomial(tuple(a - c for a, c in zip(u, w)), tuple(b - c for b, c in zip(v, w))).canonical()
+
+
+def _components_reference(facs: list, rels: list) -> list:
+    """Every relation side tested against every factorization of the fiber."""
+    index = {f: i for i, f in enumerate(facs)}
+    parent = list(range(len(facs)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for f in facs:
+        for rel in rels:
+            for src, dst in ((rel.plus, rel.minus), (rel.minus, rel.plus)):
+                if all(f[k] >= src[k] for k in range(len(f))):
+                    f2 = tuple(f[k] - src[k] + dst[k] for k in range(len(f)))
+                    if f2 in index:
+                        parent[find(index[f2])] = find(index[f])
+    comps: dict = {}
+    for f in facs:
+        comps.setdefault(find(index[f]), []).append(f)
+    return sorted(sorted(c) for c in comps.values())
+
+
+def _fibers_reference(basis: tuple, bound: int) -> list:
+    """Each factorization's value summed from scratch."""
+    by_value: dict = {}
+    for d in range(1, bound + 1):
+        for pick in combinations_with_replacement(range(len(basis)), d):
+            c = tuple(pick.count(k) for k in range(len(basis)))
+            value = tuple(sum(c[k] * basis[k][i] for k in range(len(basis))) for i in range(len(basis[0])))
+            by_value.setdefault(value, []).append(c)
+    out = [(val, sorted(facs)) for val, facs in by_value.items() if len(facs) > 1]
+    return sorted(out, key=lambda kv: (min(sum(f) for f in kv[1]), sum(kv[0]), kv[0]))
+
+
+def _relations_reference(basis: tuple, bound: int) -> tuple:
+    """Regeneration recomputing every component with the all-pairs loop after each binomial."""
+    rels: list = []
+    for _, facs in _fibers_reference(basis, bound):
+        comps = _components_reference(facs, rels)
+        while len(comps) > 1:
+            rels.append(_joining(comps[0][0], comps[1][0]))
+            comps = _components_reference(facs, rels)
+    return tuple(sorted(rels, key=lambda r: (r.degree(), r.plus, r.minus)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(fibered_bases(), st.data())
+def test_move_index_partition_matches_the_all_pairs_reference(case, data):
+    basis, bound = case
+    fibers = relations._fibers(basis, bound, relations.DEFAULT_FIBER_CAP)
+    assume(fibers)
+    rels = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        _, facs = data.draw(st.sampled_from(fibers))
+        i, j = data.draw(st.lists(st.integers(0, len(facs) - 1), min_size=2, max_size=2, unique=True))
+        rels.append(_joining(facs[i], facs[j]))
+    moves = relations._move_index(rels)
+    for _, facs in fibers:
+        parent = relations._join(facs, moves)
+        got: dict = {}
+        for i, f in enumerate(facs):
+            got.setdefault(relations._find(parent, i), []).append(f)
+        assert sorted(got.values()) == _components_reference(facs, rels)
+        assert all(comp[0] == facs[root] for root, comp in got.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(fibered_bases())
+def test_relations_bounded_matches_the_all_pairs_regeneration(case):
+    basis, bound = case
+    assert relations._fibers(basis, bound, relations.DEFAULT_FIBER_CAP) == _fibers_reference(basis, bound)
+    rels = relations_bounded(basis, bound)
+    assert all(verify_relation(basis, r) for r in rels)
+    assert rels == _relations_reference(basis, bound)
 
 
 # Laurent polynomials against a dict-of-tuples reference.  Exponents beyond +-2^63 and

@@ -133,7 +133,7 @@ def test_load_fixtures():
 
 def test_fiber_cap():
     basis = tuple(report_A(4).hilbert_basis)
-    with pytest.raises(FiberCapExceeded):
+    with pytest.raises(FiberCapExceeded, match="fiber cap is 10; lower --degree-bound"):
         relations_bounded(basis, 4, fiber_cap=10)
 
 

@@ -150,7 +150,8 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
 def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str) -> np.ndarray:
     """Boolean mask of the monoid points of prod [0, s_i), after a cap check that allocates nothing.
 
-    Residues are outer sums of a_i * x mod m in int64: dividing a congruence by
+    Residues are outer sums of a_i * x mod m in the smallest unsigned type that
+    holds 2m (one byte per point for m < 128): dividing a congruence by
     gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
     prod(z) for the generator orders z; that product is capped here when the
     sizes are z, and otherwise by the box scan that the caller runs first.
@@ -162,9 +163,10 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
     for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
         mod = c.modulus // g
-        res = np.zeros((), dtype=np.int64)
+        dtype = np.min_scalar_type(2 * mod)  # holds the sum of two residues
+        res = np.zeros((), dtype=dtype)
         for a, s in zip(c.coeffs, sizes):
-            res = np.add.outer(res, np.fromiter((a // g * x % mod for x in range(s)), np.int64, s))
+            res = np.add.outer(res, np.fromiter((a // g * x % mod for x in range(s)), dtype, s))
             np.remainder(res, mod, out=res)
         mask &= res == 0
     return mask

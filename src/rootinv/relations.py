@@ -10,9 +10,10 @@ degree bound.
 
 A degree-d factorization's value is its degree d-1 prefix's value plus one
 generator.  A fiber's components live in one union-find, built once from a
-move index, a dict from each relation side to its opposite sides that is
-looked up by the sub-vectors c <= f of each factorization f (at most
-2^bound of them).  Each emitted binomial is then applied to its fiber alone.
+move index, a dict from each relation side to its opposite sides.  For each
+factorization f the index is either looked up by the prod(f_k + 1)
+sub-vectors c <= f or scanned for the sides c <= f, whichever is shorter.
+Each emitted binomial is then applied to its fiber alone.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 from functools import reduce
 from importlib import resources
 from itertools import product
-from math import comb
-from operator import add, mul, sub
+from math import comb, prod
+from operator import add, le, mul, sub
 
 from .errors import DimensionMismatch, FiberCapExceeded
 from .intlinalg import IntVec
@@ -103,7 +104,7 @@ def verify_relation(basis: tuple[IntVec, ...], rel: Binomial) -> bool:
     """Both sides evaluate to the same monoid element."""
     if len(rel.plus) != len(basis):
         raise DimensionMismatch("relation arity != basis size")
-    return _value(basis, enumerate(rel.plus)) == _value(basis, enumerate(rel.minus))
+    return _value(basis, rel.plus) == _value(basis, rel.minus)
 
 
 def verify_relation_laurent(rs: RootSystem, basis: tuple[IntVec, ...], rel: Binomial) -> bool:
@@ -115,15 +116,9 @@ def verify_relation_laurent(rs: RootSystem, basis: tuple[IntVec, ...], rel: Bino
     return side(rel.plus) == side(rel.minus)
 
 
-def _value(
-    basis: tuple[IntVec, ...], terms: Iterable[tuple[int, int]], start: IntVec | None = None
-) -> IntVec:
-    """start (zero by default) plus e·basis[k] for each (k, e) term."""
-    v = list(start or (0,) * len(basis[0]))
-    for k, e in terms:
-        for i, x in enumerate(basis[k]):
-            v[i] += e * x
-    return tuple(v)
+def _value(basis: tuple[IntVec, ...], c: tuple[int, ...]) -> IntVec:
+    """The monoid element of the factorization c, the sum of c[k]·basis[k]."""
+    return tuple(sum(map(mul, c, col)) for col in zip(*basis))
 
 
 def _fibers(
@@ -135,16 +130,16 @@ def _fibers(
         msg = f"{total} factorizations at bound {degree_bound}, fiber cap is {fiber_cap}"
         raise FiberCapExceeded(f"{msg}; lower --degree-bound")
     by_value: dict[IntVec, list[tuple[int, ...]]] = {}
-    # (lowest generator still to multiply by, factorization, value), one degree at a time
-    level = [(0, (0,) * g, (0,) * len(basis[0]))]
-    for _ in range(degree_bound):
-        level = [
-            (k, c[:k] + (c[k] + 1,) + c[k + 1 :], _value(basis, ((k, 1),), v))
-            for low, c, v in level
-            for k in range(low, g)
-        ]
-        for _, c, v in level:
-            by_value.setdefault(v, []).append(c)
+    # depth first over the multisets of generators, each value its prefix's plus basis[k]:
+    # (lowest generator still to add, degree, factorization, value)
+    stack = [(0, 0, (0,) * g, (0,) * len(basis[0]))]
+    while stack:
+        low, d, c, v = stack.pop()
+        for k in range(low, g):
+            f, w = c[:k] + (c[k] + 1,) + c[k + 1 :], tuple(map(add, v, basis[k]))
+            by_value.setdefault(w, []).append(f)
+            if d + 1 < degree_bound:
+                stack.append((k, d + 1, f, w))
     out = [(val, sorted(facs)) for val, facs in by_value.items() if len(facs) > 1]
     out.sort(key=lambda kv: (min(sum(f) for f in kv[1]), sum(kv[0]), kv[0]))
     return out
@@ -175,13 +170,20 @@ def _join(
 
     f - c + d has the value of f, so it is in the fiber unless its degree is
     above the bound.  Every root is the smallest index of its set, so the
-    roots name the partition and the components keep their order.
+    roots name the partition and the components keep their order.  Each f
+    takes the shorter search: its prod(f_k + 1) sub-vectors looked up in the
+    index, or the index's sides tested against f.
     """
     parent = parent or list(range(len(facs)))
     pos = {f: i for i, f in enumerate(facs)}
     below = [range(e + 1) for e in range(max(map(max, facs)) + 1)]  # below[e]: 0..e
     for i, f in enumerate(facs):
-        for c in product(*map(below.__getitem__, f)):
+        spans = [below[e] for e in f]
+        if prod(map(len, spans)) <= len(moves):
+            sides = product(*spans)
+        else:
+            sides = (c for c in moves if all(map(le, c, f)))
+        for c in sides:
             for d in moves.get(c, ()):
                 j = pos.get(tuple(map(add, map(sub, f, c), d)))
                 if j is not None:

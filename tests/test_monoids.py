@@ -8,6 +8,7 @@ import pytest
 
 from rootinv.errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
 from rootinv.monoids import (
+    DEFAULT_BOX_CAP,
     Congruence,
     CongruenceMonoid,
     KernelInstance,
@@ -21,6 +22,7 @@ from rootinv.monoids import (
     parse_instance,
     split_free_part,
     toric_class_group,
+    _box_mask,
     verify_cell_partition,
 )
 from rootinv.reports import family_monoid
@@ -161,6 +163,23 @@ def test_verify_cell_partition_folds_the_grid_in_bounded_memory():
         tracemalloc.stop()
     assert checked == 886_446
     assert peak < 32 * 2**20
+
+
+def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
+    # C6 at bound 10: in int64 the residues of the 11^6-point grid took 14 MB
+    m = family_monoid(build("C", 6))
+    tracemalloc.start()
+    try:
+        mask = _box_mask(m, (11,) * 6, DEFAULT_BOX_CAP, "grid")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(mask.sum()) == 886_446
+    assert peak < 4 * 11**6
+    # 2 * 301 needs two bytes
+    m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
+    got = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box")
+    assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(40)] for x in range(301)]
 
 
 def test_verify_cell_partition_checks_the_grid_cap_first():

@@ -211,6 +211,29 @@ def _relations_reference(basis: tuple, bound: int) -> tuple:
     return tuple(sorted(rels, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 
+class _CountingMoves(dict):
+    """A move index that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _check_join(facs: list, rels: list) -> None:
+    """_join's partition is the reference's, its roots are the smallest members, and each
+    factorization costs at most min(its sub-vector count, the index size) lookups."""
+    moves = _CountingMoves(relations._move_index(rels))
+    parent = relations._join(facs, moves)
+    got: dict = {}
+    for i, f in enumerate(facs):
+        got.setdefault(relations._find(parent, i), []).append(f)
+    assert sorted(got.values()) == _components_reference(facs, rels)
+    assert all(comp[0] == facs[root] for root, comp in got.items())
+    assert moves.lookups <= sum(min(prod(e + 1 for e in f), len(moves)) for f in facs)
+
+
 @settings(deadline=None, max_examples=60)
 @given(fibered_bases(), st.data())
 def test_move_index_partition_matches_the_all_pairs_reference(case, data):
@@ -222,14 +245,18 @@ def test_move_index_partition_matches_the_all_pairs_reference(case, data):
         _, facs = data.draw(st.sampled_from(fibers))
         i, j = data.draw(st.lists(st.integers(0, len(facs) - 1), min_size=2, max_size=2, unique=True))
         rels.append(_joining(facs[i], facs[j]))
-    moves = relations._move_index(rels)
     for _, facs in fibers:
-        parent = relations._join(facs, moves)
-        got: dict = {}
-        for i, f in enumerate(facs):
-            got.setdefault(relations._find(parent, i), []).append(f)
-        assert sorted(got.values()) == _components_reference(facs, rels)
-        assert all(comp[0] == facs[root] for root, comp in got.items())
+        _check_join(facs, rels)
+
+
+def test_move_index_on_few_generators_at_a_high_bound():
+    # A2: 3 generators and 1 relation; a degree-30 factorization has up to 11^3 sub-vectors,
+    # while the index has 2 sides
+    basis = graded_lex_sorted(((1, 1), (0, 3), (3, 0)))
+    rels = relations_bounded(basis, 30)
+    assert rels == _relations_reference(basis, 30)
+    for _, facs in relations._fibers(basis, 30, relations.DEFAULT_FIBER_CAP):
+        _check_join(facs, list(rels))
 
 
 @settings(deadline=None, max_examples=60)

@@ -61,7 +61,8 @@ def _document(command: str, payload: dict) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2))
+    sys.stdout.write("\n")  # not appended to the document, which would copy it
 
 
 def _parse_type(args: argparse.Namespace) -> RootSystemType:

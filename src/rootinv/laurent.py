@@ -31,7 +31,7 @@ from .weyl import DEFAULT_ORBIT_CAP, WeylElement, orbit_weight_coords, simple_re
 Exponent = tuple[int, ...]
 
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
-_BLOCK = 1 << 20  # term pairs a product forms at once; bounds its working memory
+_BLOCK = 1 << 18  # term pairs a product forms at once; bounds its working memory
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Two independent Hilbert-basis routes are provided: a fundamental-box scan
 (for finite-index congruence sublattices) and a Contejean-Devie style
-completion procedure for kernels of integer rows.  They are used to
-cross-check each other in the test suite.
+completion procedure for kernels of integer rows, run one total degree at a
+time on integer arrays.  They are used to cross-check each other in the
+test suite.
 
 One boolean box mask feeds the cells, the box basis and the partition check.
 In M = L cap Z+^n, a <= v in M puts v - a in M, so the basis's box points are
@@ -24,6 +25,8 @@ from .rootsystem import RootSystem
 
 DEFAULT_BOX_CAP = 10_000_000
 DEFAULT_FRONTIER_CAP = 2_000_000
+_BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
+_INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 
 
 @dataclass(frozen=True)
@@ -198,59 +201,67 @@ def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> Hi
     return HilbertBasis(graded_lex_sorted(gens + np.argwhere(mask).tolist()))
 
 
+def _below(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """For each row of points, the number of rows of basis that lie below it (<=).
+
+    Forms at most _BLOCK (point, basis row) pairs at a time, so its working
+    memory is bounded whatever the sizes.
+    """
+    counts = np.zeros(len(points), dtype=np.int64)
+    step_b = max(1, min(len(basis), _BLOCK))
+    step_p = max(1, _BLOCK // step_b)
+    for j in range(0, len(basis), step_b):
+        b = basis[j : j + step_b]
+        for i in range(0, len(points), step_p):
+            counts[i : i + step_p] += (b <= points[i : i + step_p, None]).all(axis=2).sum(axis=1)
+    return counts
+
+
 def hilbert_basis_kernel(
     inst: KernelInstance | Sequence[Sequence[int]],
     frontier_cap: int = DEFAULT_FRONTIER_CAP,
 ) -> HilbertBasis:
-    """Hilbert basis of {l in Z+^s : A l = 0} by Contejean-Devie completion.
+    """Hilbert basis of {l in Z+^s : A l = 0} by Contejean-Devie completion, one degree at a time.
 
-    Starts from the unit vectors and only grows a candidate t by e_i when
-    <A t, A e_i> < 0, pruning anything that dominates a known minimal
-    solution.  The frontier cap is a divergence guard.
+    The frontier holds the points t of one total degree and their values A t,
+    from the unit vectors on.  Points of value 0 are minimal solutions; every
+    other t grows by e_i where <A t, A e_i> < 0 (the sign of values @ A), and
+    grown points above a known solution are dropped.  Points of one degree
+    cannot dominate each other, so a degree's solutions join the basis as
+    they are, and the final sweep only checks minimality.
+    Values are int64 while a per-degree bound shows that they fit, and Python
+    ints otherwise.  frontier_cap bounds the points of one degree.
     """
-    if isinstance(inst, KernelInstance):
-        rows = [inst.coeffs]
-    else:
-        rows = [tuple(int(x) for x in r) for r in inst]
-    s = len(rows[0])
-    cols = [tuple(r[i] for r in rows) for i in range(s)]
-
-    def value(v: IntVec) -> IntVec:
-        return tuple(sum(r[i] * v[i] for i in range(s)) for r in rows)
-
-    def dot(a: IntVec, b: IntVec) -> int:
-        return sum(x * y for x, y in zip(a, b))
-
-    basis: list[IntVec] = []
-    frontier: dict[IntVec, IntVec] = {}
-    for i in range(s):
-        e = tuple(1 if j == i else 0 for j in range(s))
-        frontier[e] = cols[i]
-    while frontier:
-        nxt: dict[IntVec, IntVec] = {}
-        for t, val in frontier.items():
-            if not any(val):
-                if not any(all(b[i] <= t[i] for i in range(s)) for b in basis):
-                    basis.append(t)
-                continue
-            for i in range(s):
-                if dot(val, cols[i]) < 0:
-                    t2 = tuple(t[j] + (1 if j == i else 0) for j in range(s))
-                    if t2 in nxt:
-                        continue
-                    if any(all(b[j] <= t2[j] for j in range(s)) for b in basis):
-                        continue
-                    nxt[t2] = tuple(v + c for v, c in zip(val, cols[i]))
-        if len(nxt) > frontier_cap:
-            raise FrontierCapExceeded(f"completion frontier grew past {frontier_cap}")
-        frontier = nxt
-    # final minimality sweep (a solution found early could dominate a later one)
-    basis = [
-        b
-        for b in basis
-        if not any(b2 != b and all(b2[i] <= b[i] for i in range(s)) for b2 in basis)
-    ]
-    return HilbertBasis(graded_lex_sorted(basis))
+    rows = [inst.coeffs] if isinstance(inst, KernelInstance) else [tuple(int(x) for x in r) for r in inst]
+    a = np.array(rows, dtype=object)
+    s = a.shape[1]
+    # |A t| and |<A t, A e_i>| are at most deg(t) * growth
+    growth = sum(max(map(abs, row), default=0) ** 2 for row in rows)
+    pts, vals = np.eye(s, dtype=np.int64), a.T
+    basis = pts[:0]
+    degree = 1
+    while len(pts):
+        dtype = np.int64 if (degree + 1) * growth < _INT64 else object
+        vals, cols = vals.astype(dtype, copy=False), a.T.astype(dtype)
+        zero = ~(vals != 0).any(axis=1)
+        basis = np.concatenate((basis, pts[zero]))
+        pts, vals = pts[~zero], vals[~zero]
+        f, i = np.nonzero(vals @ cols.T < 0)
+        grown = pts[f]
+        grown[np.arange(len(f)), i] += 1
+        grown, first = np.unique(grown, axis=0, return_index=True)
+        new = _below(grown, basis) == 0
+        pts, origin = grown[new], first[new]
+        vals = vals[f[origin]] + cols[i[origin]]
+        degree += 1
+        if len(pts) > frontier_cap:
+            raise FrontierCapExceeded(
+                f"completion frontier reached {len(pts)} points at degree {degree}, past the cap of "
+                f"{frontier_cap} (the frontier_cap argument of hilbert_basis_kernel)"
+            )
+    if (_below(basis, basis) > 1).any():
+        raise AssertionError("a kernel basis element dominates another")
+    return HilbertBasis(graded_lex_sorted(basis.tolist()))
 
 
 def family_monoid(rs: RootSystem) -> CongruenceMonoid:

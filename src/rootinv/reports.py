@@ -11,6 +11,7 @@ factorization, plus orbit-sum descriptions of every generator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Callable
 
@@ -50,13 +51,18 @@ class InvariantReport:
     secondaries: tuple[IntVec, ...]
     free_coordinates: tuple[int, ...]  # 0-based monoid coordinates split off as free
     residual: CongruenceMonoid | None
-    cells: tuple[IntVec, ...]
     generator_count: int
     polynomial: bool
     generators: tuple[GeneratorInfo, ...]
     laurent_unit: str | None
     structure: str
     class_group_note: str
+    box_cap: int = DEFAULT_BOX_CAP
+
+    @cached_property
+    def cells(self) -> tuple[IntVec, ...]:
+        """The Hironaka cells, built on first read: only the --hironaka output needs them."""
+        return hironaka_cells(self.monoid, self.box_cap)
 
 
 def omega_description(m: IntVec) -> str:
@@ -158,7 +164,6 @@ def report(rs: RootSystem, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     prim_set = set(primaries)
     secondaries = tuple(h for h in hb if h not in prim_set)
     free, residual = split_free_part(monoid)
-    cells = hironaka_cells(monoid, box_cap)
     polynomial = len(hb) == monoid.dim
     gens = []
     names = dict(name_rule(t.rank)) if name_rule else {}
@@ -177,7 +182,6 @@ def report(rs: RootSystem, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
         secondaries=secondaries,
         free_coordinates=free,
         residual=residual if 0 < residual.dim < monoid.dim else None,
-        cells=cells,
         generator_count=len(hb),
         polynomial=polynomial,
         generators=tuple(gens),
@@ -185,6 +189,7 @@ def report(rs: RootSystem, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
         structure=structure.format(ring=ring, n=t.rank + 1),
         # cap=0: decided on the root reflections alone, without enumerating W
         class_group_note=class_group(rs, cap=0).name,
+        box_cap=box_cap,
     )
 
 
@@ -249,7 +254,6 @@ def report_B_sym(n: int) -> InvariantReport:
         secondaries=(),
         free_coordinates=tuple(range(n - 1)),
         residual=None,
-        cells=((0,) * (n - 1),),
         generator_count=n,
         polynomial=True,
         generators=tuple(gens),

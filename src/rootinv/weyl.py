@@ -184,6 +184,7 @@ def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
         raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
     n = rs.rank
     cartan = np.array(rs.cartan.rows, dtype=np.int64)
+    cartan8 = cartan.astype(np.int8)
     level = np.eye(n, dtype=np.int8)[None, :, :]
     rho = np.ones((1, n), dtype=np.int64)  # weight coordinates of w(rho)
     total = 0
@@ -196,7 +197,8 @@ def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
             r = rho[up] - rho[up, i, None] * cartan[:, i]
             first = (r[:, :i] > 0).all(axis=1)  # i is the first descent of s_i w
             new = level[up[first]]
-            new[:, i, :] -= np.einsum("j,fjk->fk", cartan[i], new.astype(np.int64)).astype(np.int8)
+            # exact in int8: a Cartan row's |entries| sum to at most 5, a Weyl matrix's are at most 6
+            new[:, i, :] -= np.einsum("j,fjk->fk", cartan8[i], new)
             mats.append(new)
             rhos.append(r[first])
         level, rho = np.concatenate(mats), np.concatenate(rhos)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from rootinv import monoids
 from rootinv.errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
 from rootinv.monoids import (
     DEFAULT_BOX_CAP,
@@ -287,6 +288,19 @@ def test_box_cap():
 def test_frontier_cap():
     with pytest.raises(FrontierCapExceeded):
         hilbert_basis_kernel(KernelInstance((13, 17, -23, -29)), frontier_cap=5)
+
+
+def test_kernel_dominance_tests_are_blocked():
+    # the final sweep alone forms 366^2 (point, basis element) pairs, two blocks' worth
+    inst = KernelInstance((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, -12))
+    tracemalloc.start()
+    try:
+        basis = hilbert_basis_kernel(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(basis) ** 2 > monoids._BLOCK
+    assert peak < 2**21
 
 
 def test_graded_lex_order():

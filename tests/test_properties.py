@@ -1,5 +1,5 @@
 """Property tests for the two text formats (monoid instances, binomials), the box scan, the
-box Hilbert basis, the relation fibers and the Laurent kernel."""
+box Hilbert basis, the kernel Hilbert basis, the relation fibers and the Laurent kernel."""
 
 from __future__ import annotations
 
@@ -8,11 +8,12 @@ from itertools import combinations_with_replacement, product
 from math import prod
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rootinv import cli, relations
-from rootinv.errors import DimensionMismatch
+from rootinv.errors import DimensionMismatch, FrontierCapExceeded
 from rootinv.laurent import ExponentLattice, LaurentPoly, act, render
 from rootinv.monoids import (
     Congruence,
@@ -21,6 +22,7 @@ from rootinv.monoids import (
     box_elements,
     graded_lex_sorted,
     hilbert_basis_box,
+    hilbert_basis_kernel,
     parse_instance,
 )
 from rootinv.relations import Binomial, parse_binomial, relations_bounded, verify_relation
@@ -149,6 +151,75 @@ def test_hilbert_basis_box_matches_the_pairwise_reference(m):
     got = hilbert_basis_box(m).elements
     assert got == _hilbert_basis_reference(m)
     assert all(type(x) is int for v in got for x in v)
+
+
+# Contejean-Devie completion: the degree-at-a-time arrays against the dict loop they replaced.
+def _kernel_reference(rows) -> tuple[tuple, int]:
+    """Basis and widest frontier of the dict loop, taking each degree's solutions before its growth steps."""
+    s = len(rows[0])
+    cols = [tuple(r[i] for r in rows) for i in range(s)]
+    basis: list = []
+    frontier = {tuple(int(j == i) for j in range(s)): cols[i] for i in range(s)}
+    widest = 0
+    while frontier:
+        nxt: dict = {}
+        for t, val in sorted(frontier.items(), key=lambda item: any(item[1])):
+            if not any(val):
+                if not any(all(b[j] <= t[j] for j in range(s)) for b in basis):
+                    basis.append(t)
+                continue
+            for i in range(s):
+                if sum(v * c for v, c in zip(val, cols[i])) < 0:
+                    t2 = tuple(t[j] + (j == i) for j in range(s))
+                    if t2 not in nxt and not any(all(b[j] <= t2[j] for j in range(s)) for b in basis):
+                        nxt[t2] = tuple(v + c for v, c in zip(val, cols[i]))
+        widest = max(widest, len(nxt))
+        frontier = nxt
+    basis = [b for b in basis if not any(b2 != b and all(x <= y for x, y in zip(b2, b)) for b2 in basis)]
+    return graded_lex_sorted(basis), widest
+
+
+@st.composite
+def kernel_rows(draw) -> list:
+    """1-2 rows of 2-6 coefficients in [-7, 7], each row of mixed signs; some columns may be zero."""
+    s = draw(st.integers(2, 6))
+    rows = draw(st.lists(st.lists(st.integers(-7, 7), min_size=s, max_size=s), min_size=1, max_size=2))
+    zero = draw(st.sets(st.integers(0, s - 1), max_size=s - 2))
+    rows = [tuple(0 if j in zero else x for j, x in enumerate(r)) for r in rows]
+    assume(all(min(r) < 0 < max(r) for r in rows))
+    return rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_rows())
+def test_hilbert_basis_kernel_matches_the_dict_reference(rows):
+    basis, widest = _kernel_reference(rows)
+    got = hilbert_basis_kernel(rows, frontier_cap=widest).elements
+    assert got == basis
+    assert all(type(x) is int for v in got for x in v)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [(13, 17, -23, -29), (2**25 * 13, 2**25 * 17, -(2**25) * 23, -(2**25) * 29), (2**62, 2**62, -(2**62))],
+)
+def test_hilbert_basis_kernel_past_int64(coeffs):
+    """The int64 bound holds for the scaled row's first degrees only, so the values change dtype
+    midway; the last row's products pass int64 at once, and int64 arrays would wrap them."""
+    assert hilbert_basis_kernel(KernelInstance(coeffs)).elements == _kernel_reference([coeffs])[0]
+
+
+def test_frontier_cap_is_the_widest_degree():
+    inst = KernelInstance((13, 17, -23, -29))
+    basis, widest = _kernel_reference([inst.coeffs])
+    assert hilbert_basis_kernel(inst, frontier_cap=widest).elements == basis
+    cap = widest - 1
+    message = (
+        rf"completion frontier reached {widest} points at degree \d+, past the cap of {cap} "
+        r"\(the frontier_cap argument of hilbert_basis_kernel\)"
+    )
+    with pytest.raises(FrontierCapExceeded, match=message):
+        hilbert_basis_kernel(inst, frontier_cap=cap)
 
 
 # Relation fibers: the move index against the all-pairs loop it replaced.

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from rootinv import reports
 from rootinv.errors import InvalidRank
-from rootinv.monoids import box_elements, hilbert_basis_box
+from rootinv.monoids import box_elements, hilbert_basis_box, hironaka_cells
 from rootinv.reports import (
     e6_residual_hilbert_basis,
     e7_residual_hilbert_basis,
@@ -48,6 +49,21 @@ def test_report_a2():
     assert not rep.polynomial
     assert rep.class_group_note == "Z/3"
     assert set(rep.cells) == {(0, 0), (1, 1), (2, 2)}
+
+
+def test_report_builds_the_cells_on_first_read(monkeypatch):
+    calls = []
+
+    def counted(m, box_cap):
+        calls.append(box_cap)
+        return hironaka_cells(m, box_cap)
+
+    monkeypatch.setattr(reports, "hironaka_cells", counted)
+    rep = report(build("C", 4), box_cap=500)
+    assert calls == []
+    assert rep.cells == box_elements(rep.monoid) and rep.cells is rep.cells
+    assert calls == [500]
+    assert report_B_sym(3).cells == ((0, 0),)
 
 
 def test_report_a3_matches_presentation():

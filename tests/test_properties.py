@@ -3,6 +3,7 @@ box Hilbert basis, the kernel Hilbert basis, the relation fibers and the Laurent
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
@@ -154,13 +155,16 @@ def test_hilbert_basis_box_matches_the_pairwise_reference(m):
 
 
 # Contejean-Devie completion: the degree-at-a-time arrays against the dict loop they replaced.
-def _kernel_reference(rows) -> tuple[tuple, int]:
-    """Basis and widest frontier of the dict loop, taking each degree's solutions before its growth steps."""
+def _kernel_reference(rows, frontier_cap: int | None = None) -> tuple[tuple, int]:
+    """Basis and widest frontier of the dict loop, taking each degree's solutions before its growth steps.
+
+    Raises FrontierCapExceeded, with the kernel's message, once a degree's frontier passes frontier_cap.
+    """
     s = len(rows[0])
     cols = [tuple(r[i] for r in rows) for i in range(s)]
     basis: list = []
     frontier = {tuple(int(j == i) for j in range(s)): cols[i] for i in range(s)}
-    widest = 0
+    widest, degree = 0, 1
     while frontier:
         nxt: dict = {}
         for t, val in sorted(frontier.items(), key=lambda item: any(item[1])):
@@ -173,7 +177,12 @@ def _kernel_reference(rows) -> tuple[tuple, int]:
                     t2 = tuple(t[j] + (j == i) for j in range(s))
                     if t2 not in nxt and not any(all(b[j] <= t2[j] for j in range(s)) for b in basis):
                         nxt[t2] = tuple(v + c for v, c in zip(val, cols[i]))
-        widest = max(widest, len(nxt))
+        widest, degree = max(widest, len(nxt)), degree + 1
+        if frontier_cap is not None and len(nxt) > frontier_cap:
+            raise FrontierCapExceeded(
+                f"completion frontier reached {len(nxt)} points at degree {degree}, past the cap of "
+                f"{frontier_cap} (the frontier_cap argument of hilbert_basis_kernel)"
+            )
         frontier = nxt
     basis = [b for b in basis if not any(b2 != b and all(x <= y for x, y in zip(b2, b)) for b2 in basis)]
     return graded_lex_sorted(basis), widest
@@ -190,10 +199,20 @@ def kernel_rows(draw) -> list:
     return rows
 
 
+# Some drawn rows widen the frontier to thousands of points (a minute of the dict loop); past
+# this width both routes stop, and the kernel must stop at the same degree with the same size.
+_REFERENCE_CAP = 200
+
+
 @settings(deadline=None, max_examples=200)
 @given(kernel_rows())
 def test_hilbert_basis_kernel_matches_the_dict_reference(rows):
-    basis, widest = _kernel_reference(rows)
+    try:
+        basis, widest = _kernel_reference(rows, frontier_cap=_REFERENCE_CAP)
+    except FrontierCapExceeded as exc:
+        with pytest.raises(FrontierCapExceeded, match=re.escape(str(exc))):
+            hilbert_basis_kernel(rows, frontier_cap=_REFERENCE_CAP)
+        return
     got = hilbert_basis_kernel(rows, frontier_cap=widest).elements
     assert got == basis
     assert all(type(x) is int for v in got for x in v)

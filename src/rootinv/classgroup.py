@@ -33,10 +33,6 @@ class AbelianGroupStructure:
         return out
 
     @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
-
-    @property
     def name(self) -> str:
         if not self.invariant_factors:
             return "0"

@@ -45,7 +45,7 @@ from .reports import (
     family_monoid,
     omega_expand,
     report,
-    veronese_structure,
+    veronese_generators,
 )
 from .rootsystem import RootSystemType, build
 from .weyl import DEFAULT_GROUP_CAP, DEFAULT_ORBIT_CAP, group_order_bfs
@@ -102,6 +102,8 @@ def _monoid_payload(m) -> dict:
 
 def cmd_invariants(args: argparse.Namespace) -> int:
     t = _parse_type(args)
+    if args.degree_bound is not None and not args.relations:
+        raise UsageError("--degree-bound applies only with --relations")
     if args.degree_bound is not None and args.degree_bound < 1:
         raise UsageError(f"--degree-bound must be at least 1, got {args.degree_bound}")
     rs = build(t)
@@ -314,8 +316,7 @@ def _check_generator_counts(family: str, ranks: range, count, generators) -> str
 def _check_e7_veronese() -> str:
     residual = set(e7_residual_hilbert_basis())
     _expect(len(residual) == 6, "residual basis size")
-    ver = veronese_structure(3)
-    _expect(set(ver.generators) == residual, "not the quadratic Veronese generators")
+    _expect(set(veronese_generators(3)) == residual, "not the quadratic Veronese generators")
     rep = report(build("E", 7))
     _expect(len(rep.free_coordinates) == 4, "free coordinate count")
     _expect(rep.generator_count == 10, "total generator count")

@@ -106,14 +106,6 @@ class SmithForm:
     V: IntMatrix
     diagonal: IntVec
 
-    def diag_matrix(self, nrows: int, ncols: int) -> IntMatrix:
-        return IntMatrix(
-            tuple(
-                tuple(self.diagonal[i] if i == j and i < len(self.diagonal) else 0 for j in range(ncols))
-                for i in range(nrows)
-            )
-        )
-
 
 def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]

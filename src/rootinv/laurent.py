@@ -1,10 +1,8 @@
 """Sparse Laurent polynomials with exponents in a scaled integer lattice.
 
 Exponent vectors are stored as integers equal to `scale` times the actual
-(possibly fractional) exponent, so all arithmetic stays exact.  Two rings
-are used in practice: simple-root coordinates (dimension = rank) for
-invariant-theory work, and ambient coordinates for identities among
-elementary symmetric polynomials.
+(possibly fractional) exponent, so all arithmetic stays exact.  The
+invariant-theory ring uses simple-root coordinates (dimension = rank).
 
 A polynomial is a lexicographically sorted exponent array (T, dim) with a
 coefficient array (T,).  Products, sums and Weyl actions pack each exponent
@@ -266,10 +264,6 @@ def alpha_ring(rs: RootSystem) -> ExponentLattice:
     return ExponentLattice(rs.rank, rs.weight_scale)
 
 
-def ambient_ring(rs: RootSystem, scale: int | None = None) -> ExponentLattice:
-    return ExponentLattice(rs.ambient_dim, scale if scale is not None else rs.weight_scale)
-
-
 def _weight_orbit_sum(rs: RootSystem, points: Iterable[Sequence[int]], ring: ExponentLattice) -> LaurentPoly:
     """Sum of x^(ring.scale * alpha-coordinates) over weights given in weight coordinates.
 
@@ -311,23 +305,6 @@ def orbit_sum_weight_coords(
     return _weight_orbit_sum(rs, pts, ring or alpha_ring(rs))
 
 
-def orbit_sum_ambient(rs: RootSystem, v: Sequence[Fraction | int], ring: ExponentLattice) -> LaurentPoly:
-    """Orbit sum with exponents in ambient coordinates (times ring scale)."""
-    from .weyl import orbit
-
-    terms: dict[Exponent, int] = {}
-    for rv in orbit(rs, v).vectors:
-        fr = rv.to_fractions()
-        e = []
-        for x in fr:
-            xx = x * ring.scale
-            if xx.denominator != 1:
-                raise DimensionMismatch("orbit leaves the scaled ambient lattice")
-            e.append(int(xx))
-        terms[tuple(e)] = 1
-    return LaurentPoly(ring, terms)
-
-
 def act(w: WeylElement, p: LaurentPoly) -> LaurentPoly:
     """Transform exponents by w (simple-root-coordinate rings): one matrix product."""
     if p.ring.dim != w.n:
@@ -341,31 +318,6 @@ def is_invariant(rs: RootSystem, p: LaurentPoly) -> bool:
     if p.ring.dim != rs.rank:
         raise DimensionMismatch("polynomial ring does not match the root coordinates")
     return all(act(s, p) == p for s in simple_reflections(rs))
-
-
-def elementary_symmetric(ring: ExponentLattice, n: int, i: int) -> LaurentPoly:
-    """i-th elementary symmetric polynomial in x_1 .. x_n (ambient ring, scale s)."""
-    from itertools import combinations
-
-    terms: dict[Exponent, int] = {}
-    for subset in combinations(range(n), i):
-        e = [0] * ring.dim
-        for k in subset:
-            e[k] = ring.scale
-        terms[tuple(e)] = 1
-    return LaurentPoly(ring, terms)
-
-
-def elementary_symmetric_identity_check(rs: RootSystem, i: int) -> bool:
-    """For the rank-(n-1) symmetric family: orbit-sum of the i-th weight times
-    the balancing monomial equals the i-th elementary symmetric polynomial."""
-    if rs.rtype.family != "A":
-        raise DimensionMismatch("identity is specific to the symmetric-group family")
-    n = rs.ambient_dim
-    ring = ExponentLattice(n, n)
-    os = orbit_sum_ambient(rs, rs.fundamental_weights_ambient[i - 1], ring)
-    shift = LaurentPoly.monomial(ring, (i,) * n)  # x^{(i/n, ..., i/n)} at scale n
-    return os * shift == elementary_symmetric(ring, n, i)
 
 
 def _power(j: int, e: int, s: int, var: str) -> str:

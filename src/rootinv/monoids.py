@@ -27,6 +27,7 @@ DEFAULT_BOX_CAP = 10_000_000
 DEFAULT_FRONTIER_CAP = 2_000_000
 _BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
+_MAX_AXES = 32  # numpy's flat and multi-array iterators take at most this many axes
 
 
 @dataclass(frozen=True)
@@ -89,12 +90,6 @@ class CongruenceMonoid:
         """Index of the congruence lattice inside Z^dim."""
         return prod(smith_normal_form(self.lattice_basis()).diagonal)
 
-    def serialize(self) -> str:
-        lines = [str(self.dim)]
-        for c in self.congruences:
-            lines.append(" ".join(str(x) for x in c.coeffs) + f" mod {c.modulus}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class KernelInstance:
@@ -151,7 +146,7 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
 
 
 def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str) -> np.ndarray:
-    """Boolean mask of the monoid points of prod [0, s_i), after a cap check that allocates nothing.
+    """Boolean mask of the monoid points of prod [0, s_i), after cap checks that allocate nothing.
 
     Residues are outer sums of a_i * x mod m in the smallest unsigned type that
     holds 2m (one byte per point for m < 128): dividing a congruence by
@@ -162,6 +157,8 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
     size = prod(sizes)
     if size > box_cap:
         raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}")
+    if len(sizes) > _MAX_AXES:
+        raise BoxCapExceeded(f"{what} has {len(sizes)} axes, the box scan handles at most {_MAX_AXES}")
     mask = np.ones(tuple(sizes), dtype=bool)
     for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
@@ -317,14 +314,6 @@ def hironaka_cells(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple
     return cells
 
 
-def cell_of(m: CongruenceMonoid, v: Sequence[int]) -> IntVec:
-    """The unique cell whose translate contains v."""
-    z = m.generator_orders()
-    if not m.contains(v):
-        raise ValueError("vector is not in the monoid")
-    return tuple(x % zi for x, zi in zip(v, z))
-
-
 def toric_class_group(m: CongruenceMonoid) -> IntVec:
     """Invariant factors of the divisor class group of the monoid algebra.
 
@@ -365,24 +354,3 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
         raise AssertionError("some cell received no element despite exhaustive bound")
     return int(grid.sum())
 
-
-def member_of_generated(v: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
-    """Is v a Z+-combination of gens?  Backtracking with memo, fine at test scale."""
-    target = tuple(int(x) for x in v)
-    gs = [tuple(int(x) for x in g) for g in gens]
-    gs = [g for g in gs if all(a <= b for a, b in zip(g, target))]
-    seen: set[IntVec] = set()
-
-    def rec(t: IntVec) -> bool:
-        if not any(t):
-            return True
-        if t in seen:
-            return False
-        seen.add(t)
-        for g in gs:
-            if all(a <= b for a, b in zip(g, t)):
-                if rec(tuple(b - a for a, b in zip(g, t))):
-                    return True
-        return False
-
-    return rec(target)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import reduce
 from importlib import resources
 from itertools import product
 from math import comb, prod
@@ -30,8 +29,6 @@ from operator import add, le, mul, sub
 from .errors import DimensionMismatch, FiberCapExceeded
 from .intlinalg import IntVec
 from .monoids import graded_lex_sorted
-from .reports import omega_expand
-from .rootsystem import RootSystem
 
 DEFAULT_FIBER_CAP = 2_000_000
 
@@ -105,15 +102,6 @@ def verify_relation(basis: tuple[IntVec, ...], rel: Binomial) -> bool:
     if len(rel.plus) != len(basis):
         raise DimensionMismatch("relation arity != basis size")
     return _value(basis, rel.plus) == _value(basis, rel.minus)
-
-
-def verify_relation_laurent(rs: RootSystem, basis: tuple[IntVec, ...], rel: Binomial) -> bool:
-    """Both sides expand to the same Laurent polynomial (exact arithmetic)."""
-
-    def side(v: IntVec):
-        return reduce(mul, (omega_expand(rs, basis[k]) ** e for k, e in enumerate(v) if e))
-
-    return side(rel.plus) == side(rel.minus)
 
 
 def _value(basis: tuple[IntVec, ...], c: tuple[int, ...]) -> IntVec:

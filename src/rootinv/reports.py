@@ -18,10 +18,9 @@ from typing import Callable
 from .classgroup import class_group
 from .errors import InvalidRank
 from .intlinalg import IntVec
-from .laurent import LaurentPoly, alpha_ring, is_invariant, orbit_sum_weight_coords
+from .laurent import LaurentPoly, alpha_ring, orbit_sum_weight_coords
 from .monoids import (
     DEFAULT_BOX_CAP,
-    Congruence,
     CongruenceMonoid,
     HilbertBasis,
     family_monoid,
@@ -74,22 +73,6 @@ def omega_description(m: IntVec) -> str:
         elif e > 1:
             bits.append(f"o(w{i})^{e}")
     return "*".join(bits) if bits else "1"
-
-
-def monoid_from_weight_lattice(rs: RootSystem) -> CongruenceMonoid:
-    """Independent derivation of the same monoid from a Smith form of the Cartan matrix.
-
-    Used as a cross-check: the congruences read off U and the invariant
-    factors must cut out the same sublattice as :func:`family_monoid`.
-    """
-    from .intlinalg import smith_normal_form
-
-    sf = smith_normal_form(rs.cartan)
-    congs = []
-    for i, d in enumerate(sf.diagonal):
-        if d > 1:
-            congs.append(Congruence(tuple(sf.U.rows[i]), d))
-    return CongruenceMonoid(rs.rank, tuple(congs))
 
 
 def _odd_pair_names(n: int) -> list[tuple[IntVec, str]]:
@@ -313,54 +296,15 @@ def e7_residual_hilbert_basis() -> tuple[IntVec, ...]:
     return graded_lex_sorted(raw)
 
 
-@dataclass(frozen=True)
-class VeroneseStructure:
-    """Second Veronese of a polynomial ring in d variables, as a monoid algebra."""
-
-    d: int
-    monoid: CongruenceMonoid
-    generators: tuple[IntVec, ...]  # squares 2e_i then products e_i + e_j
-    square_generators: tuple[IntVec, ...]
-    product_generators: tuple[IntVec, ...]
-    relations: tuple[tuple[IntVec, IntVec], ...]  # (plus, minus) exponent pairs over generators
-    cells: tuple[IntVec, ...]
-    class_group_note: str
-
-
-def veronese_structure(d: int) -> VeroneseStructure:
-    """Generators x_i^2 and x_i x_j, relations (x_i^2)(x_j^2) = (x_i x_j)^2."""
+def veronese_generators(d: int) -> tuple[IntVec, ...]:
+    """Generators of the second Veronese of a polynomial ring in d variables: x_i^2 and x_i x_j."""
     if d < 1:
         raise InvalidRank("need d >= 1")
-    m = CongruenceMonoid(d, (Congruence((1,) * d, 2),))
     squares = tuple(tuple(2 if k == i else 0 for k in range(d)) for i in range(d))
     products = tuple(
         tuple(1 if k in (i, j) else 0 for k in range(d)) for i, j in combinations(range(d), 2)
     )
-    gens = graded_lex_sorted(squares + products)
-    index = {g: t for t, g in enumerate(gens)}
-    rels = []
-    for i, j in combinations(range(d), 2):
-        plus = [0] * len(gens)
-        plus[index[squares[i]]] = 1
-        plus[index[squares[j]]] = 1
-        minus = [0] * len(gens)
-        minus[index[products[_pair_pos(i, j, d)]]] = 2
-        rels.append((tuple(plus), tuple(minus)))
-    cells = hironaka_cells(m)
-    return VeroneseStructure(
-        d=d,
-        monoid=m,
-        generators=gens,
-        square_generators=graded_lex_sorted(squares),
-        product_generators=graded_lex_sorted(products),
-        relations=tuple(rels),
-        cells=cells,
-        class_group_note="Z/2" if d >= 2 else "0",
-    )
-
-
-def _pair_pos(i: int, j: int, d: int) -> int:
-    return list(combinations(range(d), 2)).index((i, j))
+    return graded_lex_sorted(squares + products)
 
 
 def omega_expand(rs: RootSystem, m: IntVec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> LaurentPoly:
@@ -372,18 +316,3 @@ def omega_expand(rs: RootSystem, m: IntVec, orbit_cap: int = DEFAULT_ORBIT_CAP) 
             unit = tuple(1 if j == i else 0 for j in range(rs.rank))
             out = out * (orbit_sum_weight_coords(rs, unit, ring, orbit_cap) ** e)
     return out
-
-
-def verify_omega(rs: RootSystem, report: InvariantReport, degree_bound: int | None = None) -> bool:
-    """Exponent-lattice integrality plus Weyl invariance of every basis element's expansion."""
-    ring = alpha_ring(rs)
-    for h in report.hilbert_basis:
-        if degree_bound is not None and sum(h) > degree_bound:
-            continue
-        p = omega_expand(rs, h)
-        for e, _ in p.terms():
-            if any(x % ring.scale for x in e):
-                return False
-        if not is_invariant(rs, p):
-            return False
-    return True

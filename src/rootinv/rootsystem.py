@@ -13,7 +13,7 @@ Ch. VI, 2).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterator, Sequence
@@ -88,7 +88,6 @@ class RootSystem:
     fundamental_weights_alpha: tuple[QVec, ...]
     weight_orders: tuple[int, ...]  # order of each weight in weight/root quotient
     weyl_order: int
-    _alpha_solver: tuple[QVec, ...] = field(repr=False)  # inverse Cartan, rows
 
     @property
     def rank(self) -> int:
@@ -106,7 +105,7 @@ class RootSystem:
         """Coordinates of the span-component of v in the simple-root basis."""
         pair = self.pairing_with_simple(v)
         return tuple(
-            sum((self._alpha_solver[i][j] * pair[j] for j in range(self.rank)), Q(0))
+            sum((w[i] * p for w, p in zip(self.fundamental_weights_alpha, pair)), Q(0))
             for i in range(self.rank)
         )
 
@@ -118,23 +117,12 @@ class RootSystem:
                 out[k] += ci * a[k]
         return tuple(out)
 
-    def from_alpha_coords(self, c) -> QVec:
-        out = [Q(0)] * self.ambient_dim
-        for ci, a in zip(c, self.simple_roots):
-            for k in range(self.ambient_dim):
-                out[k] += Q(ci) * a[k]
-        return tuple(out)
-
     def from_weight_coords(self, m) -> QVec:
         out = [Q(0)] * self.ambient_dim
         for mi, w in zip(m, self.fundamental_weights_ambient):
             for k in range(self.ambient_dim):
                 out[k] += Q(mi) * w[k]
         return tuple(out)
-
-    def weight_coords(self, v: QVec) -> tuple[Fraction, ...]:
-        """Pairings with the simple coroots; integral exactly on the weight lattice."""
-        return self.pairing_with_simple(v)
 
 
 def _basis(n: int, i: int) -> list[Fraction]:
@@ -266,7 +254,6 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     # the highest root is the dominant root of greatest height; f * its alpha-coordinates
     highest = max(_matmul(tops, adj_t), key=sum)
 
-    inv_t = tuple(tuple(inv[i][k] for k in range(n)) for i in range(n))
     return RootSystem(
         rtype=t,
         ambient_dim=dim,
@@ -277,7 +264,6 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
         fundamental_weights_alpha=walpha,
         weight_orders=tuple(lcm(*(c.denominator for c in w)) for w in walpha),
         weyl_order=factorial(n) * f * prod(x // f for x in highest),
-        _alpha_solver=inv_t,
     )
 
 

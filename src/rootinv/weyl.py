@@ -86,18 +86,11 @@ class WeylElement:
                 raise RuntimeError("runaway order computation")
         return k
 
-    def as_int_matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.matrix)
-
     def sort_key(self):
         return self.matrix
 
     def __repr__(self) -> str:
         return f"WeylElement({self.matrix})"
-
-
-def identity_element(n: int) -> WeylElement:
-    return WeylElement(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
 
 def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -110,26 +103,6 @@ def simple_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
             rows[i][j] -= rs.cartan[i, j]
         out.append(WeylElement(rows))
     return tuple(out)
-
-
-def reflection_in_root(rs: RootSystem, beta: Sequence[Fraction | int]) -> WeylElement:
-    """Reflection s_beta for a root beta given in ambient coordinates."""
-    beta = tuple(Q(x) for x in beta)
-    cols = []
-    for a in rs.simple_roots:
-        img = _reflect_ambient(a, beta)
-        c = rs.alpha_coords(img)
-        if any(x.denominator != 1 for x in c):
-            raise ValueError("reflection does not preserve the root lattice")
-        cols.append(tuple(int(x) for x in c))
-    return WeylElement(tuple(zip(*cols)))
-
-
-def _reflect_ambient(v: tuple[Fraction, ...], beta: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    num = sum((a * b for a, b in zip(v, beta)), Q(0))
-    den = sum((b * b for b in beta), Q(0))
-    coef = 2 * num / den
-    return tuple(a - coef * b for a, b in zip(v, beta))
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from rootinv.reports import (
     report_D,
     report_E6,
     report_E7,
-    veronese_structure,
+    veronese_generators,
 )
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import group_order_bfs
@@ -170,7 +170,7 @@ def test_criterion_06_e7_structure():
     t0 = time.monotonic()
     residual = e7_residual_hilbert_basis()
     assert len(residual) == 6
-    assert set(residual) == set(veronese_structure(3).generators)
+    assert set(residual) == set(veronese_generators(3))
     rep = report_E7()
     assert len(rep.free_coordinates) == 4
     assert set(hilbert_basis_box(rep.residual)) == set(residual)

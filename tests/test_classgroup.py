@@ -23,9 +23,9 @@ def test_abelian_group_structure():
     g = AbelianGroupStructure((2, 4))
     assert g.order == 8
     assert g.name == "Z/2 x Z/4"
-    assert not g.is_trivial
+    assert g.invariant_factors
     t = AbelianGroupStructure(())
-    assert t.order == 1 and t.is_trivial and t.name == "0"
+    assert t.order == 1 and not t.invariant_factors and t.name == "0"
 
 
 def test_weight_quotients():

@@ -11,7 +11,7 @@ import pytest
 from rootinv import cli
 from rootinv.errors import GroupCapExceeded
 from rootinv.monoids import graded_lex_sorted, hilbert_basis_box
-from rootinv.reports import family_monoid, report
+from rootinv.reports import report
 from rootinv.rootsystem import build
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -170,9 +170,8 @@ def test_value_error_in_the_mathematics_is_an_internal_error(capsys, monkeypatch
 
 
 def test_hilbert_monoid_file(capsys, tmp_path):
-    m = family_monoid(build("C", 3))
     path = tmp_path / "c3.monoid"
-    path.write_text(m.serialize())
+    path.write_text("3\n1 0 1 mod 2\n")  # the family monoid of C3
     code, out = run_cli(capsys, "hilbert", "--monoid", str(path))
     assert code == 0
     p = json.loads(out)["payload"]
@@ -204,6 +203,33 @@ def test_invariants_honours_box_cap(capsys):
     code = cli.main(["invariants", "A", "3", "--box-cap", "3"])
     assert code == 1
     assert "cap is 3" in capsys.readouterr().err
+
+
+def test_box_scan_of_32_axes_runs(capsys):
+    code, out = run_cli(capsys, "invariants", "B", "32")
+    assert code == 0
+    assert json.loads(out)["payload"]["generator_count"] == 32
+
+
+@pytest.mark.parametrize("family,dim", [("B", 33), ("D", 40), (None, 33), (None, 70)])
+def test_box_scan_beyond_32_axes_is_an_error_before_it_allocates(capsys, tmp_path, family, dim):
+    if family is None:
+        path = tmp_path / "wide.monoid"
+        path.write_text(f"{dim}\n")  # Z+^dim: a one-point box on dim axes
+        argv = ["hilbert", "--monoid", str(path)]
+    else:
+        argv = ["invariants", family, str(dim)]  # boxes of 2 and 2^21 points
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: box has {dim} axes, the box scan handles at most 32\n"
+
+
+def test_degree_bound_needs_relations(capsys):
+    code = cli.main(["invariants", "A", "3", "--degree-bound", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: --degree-bound applies only with --relations\n"
 
 
 def test_selfcheck_weyl_order_honours_the_group_cap():

@@ -27,7 +27,8 @@ def check_smith(a: IntMatrix) -> None:
     sf = smith_normal_form(a)
     assert abs(det_int(sf.U)) == 1
     assert abs(det_int(sf.V)) == 1
-    assert sf.U.mul(a).mul(sf.V) == sf.diag_matrix(a.nrows, a.ncols)
+    diag = [[sf.diagonal[i] if i == j else 0 for j in range(a.ncols)] for i in range(a.nrows)]
+    assert sf.U.mul(a).mul(sf.V) == IntMatrix.from_rows(diag)
     d = [x for x in sf.diagonal if x]
     for i in range(len(d) - 1):
         assert d[i + 1] % d[i] == 0

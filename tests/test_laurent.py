@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,16 +14,42 @@ from rootinv.laurent import (
     LaurentPoly,
     act,
     alpha_ring,
-    ambient_ring,
-    elementary_symmetric,
-    elementary_symmetric_identity_check,
     is_invariant,
     orbit_sum,
     orbit_sum_weight_coords,
     render,
 )
 from rootinv.rootsystem import build
-from rootinv.weyl import simple_reflections
+from rootinv.weyl import orbit, simple_reflections
+
+
+def _orbit_sum_ambient(rs, v, ring: ExponentLattice) -> LaurentPoly:
+    """Reference: the orbit sum of v with exponents in ambient coordinates (times ring scale)."""
+    terms = {}
+    for rv in orbit(rs, v).vectors:
+        e = [x * ring.scale for x in rv.to_fractions()]
+        if any(x.denominator != 1 for x in e):
+            raise DimensionMismatch("orbit leaves the scaled ambient lattice")
+        terms[tuple(int(x) for x in e)] = 1
+    return LaurentPoly(ring, terms)
+
+
+def _elementary_symmetric(ring: ExponentLattice, n: int, i: int) -> LaurentPoly:
+    """Reference: the i-th elementary symmetric polynomial in x_1 .. x_n (ambient ring, scale s)."""
+    terms = {}
+    for subset in combinations(range(n), i):
+        terms[tuple(ring.scale if k in subset else 0 for k in range(ring.dim))] = 1
+    return LaurentPoly(ring, terms)
+
+
+def _elementary_symmetric_identity_check(rs, i: int) -> bool:
+    """For the rank-(n-1) symmetric family: the orbit sum of the i-th weight times the
+    balancing monomial equals the i-th elementary symmetric polynomial."""
+    n = rs.ambient_dim
+    ring = ExponentLattice(n, n)
+    os = _orbit_sum_ambient(rs, rs.fundamental_weights_ambient[i - 1], ring)
+    shift = LaurentPoly.monomial(ring, (i,) * n)  # x^{(i/n, ..., i/n)} at scale n
+    return os * shift == _elementary_symmetric(ring, n, i)
 
 
 def test_ring_arithmetic():
@@ -100,7 +127,7 @@ def test_non_invariant_detected():
 
 def test_elementary_symmetric_basics():
     ring = ExponentLattice(4, 1)
-    e2 = elementary_symmetric(ring, 4, 2)
+    e2 = _elementary_symmetric(ring, 4, 2)
     assert e2.nterms == 6
     assert all(c == 1 for _, c in e2.terms())
 
@@ -109,13 +136,14 @@ def test_elementary_symmetric_identity():
     for n in (2, 3, 4):
         rs = build("A", n - 1)
         for i in range(1, n):
-            assert elementary_symmetric_identity_check(rs, i), (n, i)
+            assert _elementary_symmetric_identity_check(rs, i), (n, i)
 
 
 def test_ambient_ring_dimensions():
     rs = build("B", 3)
-    ring = ambient_ring(rs)
-    assert ring.dim == rs.ambient_dim
+    ring = ExponentLattice(rs.ambient_dim, rs.weight_scale)
+    p = _orbit_sum_ambient(rs, rs.fundamental_weights_ambient[0], ring)
+    assert p.nterms == 6 and all(len(e) == ring.dim == rs.ambient_dim for e, _ in p.terms())
 
 
 def test_render():

@@ -56,9 +56,12 @@ def instances(draw) -> CongruenceMonoid | KernelInstance:
 
 
 def _text(inst: CongruenceMonoid | KernelInstance) -> str:
+    """The instance in the text format that parse_instance reads."""
     if isinstance(inst, KernelInstance):
         return "ker: " + " ".join(str(c) for c in inst.coeffs) + "\n"
-    return inst.serialize()
+    lines = [str(inst.dim)]
+    lines += [" ".join(map(str, c.coeffs)) + f" mod {c.modulus}" for c in inst.congruences]
+    return "\n".join(lines) + "\n"
 
 
 @st.composite

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -16,19 +17,38 @@ from rootinv.weyl import (
     enumerate_group,
     group_order_bfs,
     h1_cyclic2,
-    identity_element,
     is_reflection,
     orbit,
     orbit_weight_coords,
-    reflection_in_root,
     reflections,
     root_reflections,
     simple_reflections,
 )
 
 
+def _identity_element(n: int) -> WeylElement:
+    return WeylElement(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def _reflection_in_root(rs, beta) -> WeylElement:
+    """Reference: the reflection s_beta for a root beta in ambient coordinates, in Fractions."""
+    beta = tuple(Fraction(x) for x in beta)
+    cols = []
+    for a in rs.simple_roots:
+        c = rs.alpha_coords(_reflect_ambient(a, beta))
+        if any(x.denominator != 1 for x in c):
+            raise ValueError("reflection does not preserve the root lattice")
+        cols.append(tuple(int(x) for x in c))
+    return WeylElement(tuple(zip(*cols)))
+
+
+def _reflect_ambient(v, beta):
+    coef = 2 * sum(a * b for a, b in zip(v, beta)) / sum(b * b for b in beta)
+    return tuple(a - coef * b for a, b in zip(v, beta))
+
+
 def _inverse(w: WeylElement) -> WeylElement:
-    out = identity_element(w.n)
+    out = _identity_element(w.n)
     for _ in range(w.order() - 1):
         out = out * w
     return out
@@ -48,10 +68,9 @@ def test_element_algebra():
     gens = simple_reflections(rs)
     w = gens[0] * gens[1] * gens[2]
     assert not w.is_identity()
-    e = identity_element(3)
+    e = _identity_element(3)
     assert (w * e) == w
     assert hash(w * e) == hash(w)
-    assert w.as_int_matrix() == IntMatrix.from_rows([list(r) for r in w.matrix])
     assert w.apply((0, 0, 0)) == (0, 0, 0)
 
 
@@ -157,7 +176,7 @@ def test_group_enumeration_small():
         g = enumerate_group(rs)
         assert len(g) == order == rs.weyl_order
         assert group_order_bfs(rs) == order
-        assert identity_element(rs.rank) in g
+        assert _identity_element(rs.rank) in g
 
 
 def test_group_cap():
@@ -197,7 +216,7 @@ def test_reflection_in_root():
     rs = build("B", 3)
     group = enumerate_group(rs)
     for beta in rs.roots:
-        s = reflection_in_root(rs, beta)
+        s = _reflection_in_root(rs, beta)
         assert is_reflection(s)
         assert s.order() == 2
         assert s in group
@@ -212,7 +231,7 @@ def test_h1_values():
     assert h1_cyclic2(sign2) == 2
     minus = WeylElement(((-1, 0), (0, -1)))
     assert h1_cyclic2(minus) == 4  # (Z/2)^2 has order 4
-    ident = identity_element(2)
+    ident = _identity_element(2)
     assert h1_cyclic2(ident) == 1
 
 
@@ -280,7 +299,7 @@ def test_root_reflections_match_the_fraction_reference():
     names += ["E6", "E7", "E8", "F4", "G2"]
     for rs in _types(*names):
         positive = [beta for beta in rs.roots if min(rs.alpha_coords(beta)) >= 0]
-        want = {reflection_in_root(rs, beta) for beta in positive}
+        want = {_reflection_in_root(rs, beta) for beta in positive}
         got = root_reflections(rs)
         assert len(got) == len(want) == len(positive), rs.rtype.name
         assert set(got) == want, rs.rtype.name

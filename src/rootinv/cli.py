@@ -22,7 +22,6 @@ from .errors import (
     RootinvError,
     UsageError,
 )
-from .intlinalg import det_int
 from .laurent import LaurentPoly, is_invariant, orbit_sum_weight_coords, render
 from .monoids import (
     DEFAULT_BOX_CAP,
@@ -72,6 +71,8 @@ def _parse_type(args: argparse.Namespace) -> RootSystemType:
 def cmd_info(args: argparse.Namespace) -> int:
     t = _parse_type(args)
     rs = build(t)
+    # a finite-type Cartan matrix is positive definite, so its determinant is the order of its cokernel
+    quotient = weight_quotient(rs)
     payload = {
         "type": t.name,
         "family": t.family,
@@ -80,12 +81,12 @@ def cmd_info(args: argparse.Namespace) -> int:
         "root_count": len(rs.roots),
         "weyl_order": rs.weyl_order,
         "cartan_matrix": [list(r) for r in rs.cartan.rows],
-        "cartan_determinant": det_int(rs.cartan),
+        "cartan_determinant": quotient.order,
         "fundamental_weights_alpha": [
             [str(x) for x in w] for w in rs.fundamental_weights_alpha
         ],
         "weight_orders": list(rs.weight_orders),
-        "weight_quotient": weight_quotient(rs).name,
+        "weight_quotient": quotient.name,
     }
     _emit(_document(f"info {t.name}", payload))
     return 0

@@ -1,14 +1,15 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works with arbitrary-precision Python ints / Fractions;
-no floating point is used anywhere.
+no floating point is used anywhere.  The Smith normal form is the one
+elimination: kernels, cokernels, determinants and inverses all come from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfiniteQuotient
@@ -61,11 +62,6 @@ class IntMatrix:
         return IntMatrix(
             tuple(tuple(sum(a * b for a, b in zip(row, c)) for c in cols) for row in self.rows)
         )
-
-    def apply(self, v: Sequence[int]) -> IntVec:
-        if len(v) != self.ncols:
-            raise DimensionMismatch(f"{len(v)} != {self.ncols}")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -256,72 +252,25 @@ def cokernel_invariant_factors(a: IntMatrix) -> IntVec:
     return tuple(x for x in sf.diagonal if x > 1)
 
 
-def _bareiss(a: IntMatrix) -> tuple[int, int]:
-    """Fraction-free (Bareiss) elimination: the rank over Q and the signed last pivot.
+def scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """(f, f * A^-1) for a square nonsingular A, where f = |det A|.
 
-    For a square nonsingular matrix the signed last pivot is the determinant.
+    With U A V = D, A^-1 = V D^-1 U, and every d_i divides f = prod(d_i), so
+    f * A^-1 = V diag(f / d_i) U is integral (Cohen, A Course in Computational
+    Algebraic Number Theory, 1993, 2.4.4).
     """
-    m = [list(r) for r in a.rows]
-    nr, nc = a.nrows, a.ncols
-    rank, prev, sign = 0, 1, 1
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv = next((i for i in range(rank, nr) if m[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
-            sign = -sign
-        for i in range(rank + 1, nr):
-            for j in range(col + 1, nc):
-                m[i][j] = (m[rank][col] * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-    return rank, sign * prev
-
-
-def rank_int(a: IntMatrix) -> int:
-    """Rank over Q."""
-    return _bareiss(a)[0]
-
-
-def _gauss_jordan(
-    a: Sequence[Sequence[Fraction | int]], rhs: Sequence[Sequence[Fraction | int]]
-) -> list[list[Fraction]]:
-    """Reduce [A | rhs] to [I | A^-1 rhs] for square nonsingular A; return A^-1 rhs."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(x) for x in extra] for row, extra in zip(a, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise DimensionMismatch("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+    if a.nrows != a.ncols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    sf = smith_normal_form(a)
+    if not all(sf.diagonal):
+        raise DimensionMismatch("singular matrix")
+    f = prod(sf.diagonal)
+    scaled_u = IntMatrix(tuple(tuple(f // d * x for x in row) for d, row in zip(sf.diagonal, sf.U.rows)))
+    return f, sf.V.mul(scaled_u)
 
 
 def solve_exact(a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]) -> QVec:
     """Solve A x = b exactly for square nonsingular A over the rationals."""
-    return tuple(row[0] for row in _gauss_jordan(a, [[x] for x in b]))
-
-
-def invert_rational(a: Sequence[Sequence[Fraction | int]]) -> tuple[QVec, ...]:
-    """Exact inverse of a square rational matrix, as a tuple of rows."""
-    n = len(a)
-    ident = [[int(i == j) for j in range(n)] for i in range(n)]
-    return tuple(tuple(row) for row in _gauss_jordan(a, ident))
-
-
-def det_int(a: IntMatrix) -> int:
-    """Determinant of a square integer matrix."""
-    if a.nrows != a.ncols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    rank, pivot = _bareiss(a)
-    return pivot if rank == a.nrows else 0
+    s = lcm(*(Fraction(x).denominator for row in a for x in row))  # s * A is integral
+    f, m = scaled_inverse(IntMatrix.from_rows([[x * s for x in row] for row in a]))
+    return tuple(s * sum(x * Fraction(y) for x, y in zip(row, b)) / f for row in m.rows)

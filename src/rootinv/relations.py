@@ -113,7 +113,8 @@ def _fibers(
     basis: tuple[IntVec, ...], degree_bound: int, fiber_cap: int
 ) -> list[tuple[IntVec, list[tuple[int, ...]]]]:
     g = len(basis)
-    total = sum(comb(d + g - 1, g - 1) for d in range(1, degree_bound + 1))
+    # the factorizations of degrees 1..bound: sum of comb(d + g - 1, g - 1), by the hockey-stick identity
+    total = comb(degree_bound + g, g) - 1
     if total > fiber_cap:
         msg = f"{total} factorizations at bound {degree_bound}, fiber cap is {fiber_cap}"
         raise FiberCapExceeded(f"{msg}; lower --degree-bound")

@@ -19,7 +19,7 @@ from math import factorial, lcm, prod
 from typing import Iterator, Sequence
 
 from .errors import InvalidRank
-from .intlinalg import IntMatrix, QVec, RatVector, det_int, invert_rational
+from .intlinalg import IntMatrix, QVec, RatVector, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -240,10 +240,9 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
 
     # fundamental weights: rows of the inverse transposed Cartan matrix are
     # the alpha-coordinates (so that <w_i, alpha_j^vee> = delta_ij)
-    inv = invert_rational(cartan_rows)  # rows of cartan^{-1}
-    walpha = tuple(tuple(inv[k][i] for k in range(n)) for i in range(n))
-    f = det_int(cartan)  # |P/Q|
-    adj_t = [[int(inv[k][i] * f) for k in range(n)] for i in range(n)]  # f * walpha, integral
+    f, scaled = scaled_inverse(cartan)  # f = det(cartan) = |P/Q|, and f * cartan^{-1}
+    adj_t = scaled.transpose().rows  # f * walpha, integral
+    walpha = _over(adj_t, f)
     weights = _matmul(adj_t, simple)  # f * den * w_i in ambient coordinates, integral
 
     # roots: the orbits of the simple roots, whose weight coordinates are the

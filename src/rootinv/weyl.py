@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
-from .intlinalg import IntMatrix, RatVector, rank_int, smith_normal_form
+from .intlinalg import IntMatrix, RatVector, smith_normal_form
 from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -62,29 +62,11 @@ class WeylElement:
         return isinstance(other, WeylElement) and self._data == other._data
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        a, b = self.matrix, other.matrix
-        n = self.n
-        return WeylElement(
-            tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n))
-        )
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        m = self.matrix
-        return tuple(sum(m[i][j] * v[j] for j in range(self.n)) for i in range(self.n))
+        a, b = (np.frombuffer(w._data, dtype=np.int16).reshape(w.n, w.n) for w in (self, other))
+        return WeylElement((a.astype(np.int64) @ b).tolist())
 
     def is_identity(self) -> bool:
-        m = self.matrix
-        return all(m[i][j] == (1 if i == j else 0) for i in range(self.n) for j in range(self.n))
-
-    def order(self) -> int:
-        w = self
-        k = 1
-        while not w.is_identity():
-            w = w * self
-            k += 1
-            if k > 10000:
-                raise RuntimeError("runaway order computation")
-        return k
+        return self._data == np.eye(self.n, dtype=np.int16).tobytes()
 
     def sort_key(self):
         return self.matrix
@@ -198,24 +180,20 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> frozenset[W
     return frozenset(out)
 
 
-def is_reflection(w: WeylElement) -> bool:
-    """True iff 1 - w has rank exactly 1 (lattice reflection)."""
-    n = w.n
-    m = w.matrix
-    rows = [[(1 if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-    return rank_int(IntMatrix.from_rows(rows)) == 1
-
-
 def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
-    """All reflections in W, by exhaustive scan (trace prefilter, exact rank check)."""
+    """All reflections in W, by exhaustive scan (trace prefilter, involution check).
+
+    A reflection squares to 1 and has trace n - 2.  Conversely, an element of
+    finite order with w^2 = 1 has eigenvalues +-1, and trace n - 2 leaves
+    exactly one -1, so 1 - w has rank 1.
+    """
     n = rs.rank
+    eye = np.eye(n, dtype=np.int64)
     found = []
     for level in _group_levels(rs, cap):
-        tr = np.trace(level, axis1=1, axis2=2)
-        for k in np.nonzero(tr == n - 2)[0]:
-            w = WeylElement(level[k].tolist())
-            if is_reflection(w):
-                found.append(w)
+        cand = level[np.trace(level, axis1=1, axis2=2) == n - 2].astype(np.int64)
+        square = np.einsum("fij,fjk->fik", cand, cand)
+        found.extend(WeylElement(w.tolist()) for w in cand[(square == eye).all(axis=(1, 2))])
     found.sort(key=WeylElement.sort_key)
     return tuple(found)
 

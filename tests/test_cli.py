@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,15 @@ def test_fiber_cap_message_names_the_count_the_cap_and_the_way_out(capsys):
     [line] = captured.err.splitlines()
     for part in ("97082021464 factorizations", "bound 9", "fiber cap is 2000000", "lower --degree-bound"):
         assert part in line
+
+
+def test_fiber_cap_is_checked_in_time_independent_of_the_bound(capsys):
+    # summing the factorization count degree by degree would take years at this bound
+    code = cli.main(["invariants", "A", "2", "--relations", "--degree-bound", str(10**15)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{comb(10**15 + 3, 3) - 1} factorizations at bound {10**15}" in captured.err
 
 
 def test_expand_orbit_cap_truncation(capsys):

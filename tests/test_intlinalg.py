@@ -4,20 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from rootinv.errors import InfiniteQuotient
+from rootinv.errors import DimensionMismatch, InfiniteQuotient
 from rootinv.intlinalg import (
     IntMatrix,
     RatVector,
     cokernel_invariant_factors,
-    det_int,
     integer_kernel,
-    invert_rational,
-    rank_int,
+    scaled_inverse,
     smith_normal_form,
     solve_exact,
 )
@@ -25,8 +24,8 @@ from rootinv.intlinalg import (
 
 def check_smith(a: IntMatrix) -> None:
     sf = smith_normal_form(a)
-    assert abs(det_int(sf.U)) == 1
-    assert abs(det_int(sf.V)) == 1
+    assert abs(sympy.Matrix(sf.U.rows).det()) == 1
+    assert abs(sympy.Matrix(sf.V.rows).det()) == 1
     diag = [[sf.diagonal[i] if i == j else 0 for j in range(a.ncols)] for i in range(a.nrows)]
     assert sf.U.mul(a).mul(sf.V) == IntMatrix.from_rows(diag)
     d = [x for x in sf.diagonal if x]
@@ -110,23 +109,46 @@ def test_cokernel_infinite_quotient():
 
 
 def test_rank_and_det_against_sympy():
+    # the rank is the number of nonzero Smith invariants, |det| their product
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        a = IntMatrix.from_rows(rows)
         m = sympy.Matrix(rows)
-        assert det_int(a) == int(m.det())
-        assert rank_int(a) == m.rank()
+        diag = smith_normal_form(IntMatrix.from_rows(rows)).diagonal
+        assert sum(1 for d in diag if d) == m.rank()
+        assert prod(diag) == abs(m.det())
+
+
+def test_scaled_inverse_against_sympy():
+    rng = random.Random(12)
+    trials = 0
+    while trials < 40:
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        m = sympy.Matrix(rows)
+        if m.det() == 0:
+            continue
+        f, inv = scaled_inverse(IntMatrix.from_rows(rows))
+        assert f == abs(m.det())
+        assert sympy.Matrix(inv.rows) == f * m.inv()
+        trials += 1
+
+
+def test_scaled_inverse_rejects_singular_and_non_square():
+    with pytest.raises(DimensionMismatch):
+        scaled_inverse(IntMatrix.from_rows([[1, 2], [2, 4]]))
+    with pytest.raises(DimensionMismatch):
+        scaled_inverse(IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_solve_exact_and_inverse():
     a = [[2, -1], [-1, 2]]
-    x = solve_exact(a, [1, 0])
-    assert x == (Fraction(2, 3), Fraction(1, 3))
-    inv = invert_rational(a)
-    assert inv[0] == (Fraction(2, 3), Fraction(1, 3))
-    assert inv[1] == (Fraction(1, 3), Fraction(2, 3))
+    assert solve_exact(a, [1, 0]) == (Fraction(2, 3), Fraction(1, 3))
+    assert scaled_inverse(IntMatrix.from_rows(a)) == (3, IntMatrix.from_rows([[2, 1], [1, 2]]))
+    # non-integral entries: solve_exact clears the denominators before the Smith form
+    half_third = [[Fraction(1, 2), Fraction(1, 3)], [1, 1]]
+    assert solve_exact(half_third, [1, Fraction(1, 5)]) == (Fraction(28, 5), Fraction(-27, 5))
 
 
 def test_ratvector_normalization():
@@ -142,6 +164,4 @@ def test_matrix_basics():
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a.mul(b) == IntMatrix.from_rows([[2, 1], [4, 3]])
     assert a.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
-    assert a.apply((1, 1)) == (3, 7)
     assert a.col(0) == (1, 3)
-    assert det_int(a) == -2

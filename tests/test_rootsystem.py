@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
+import sympy
 
+from rootinv import cli
 from rootinv.errors import InvalidRank
-from rootinv.intlinalg import det_int
 from rootinv.rootsystem import RootSystemType, build
 
 ALL_SMALL = (
@@ -92,7 +94,7 @@ def test_roots_are_integral_and_of_simple_root_lengths(fam, rank):
         assert sum(x * x for x in beta) in lengths, beta
 
 
-def test_cartan_determinants():
+def test_cartan_determinants(capsys):
     dets = {
         ("A", 4): 5,
         ("B", 5): 2,
@@ -105,7 +107,9 @@ def test_cartan_determinants():
         ("G", 2): 1,
     }
     for (fam, rank), d in dets.items():
-        assert det_int(_build(fam, rank).cartan) == d, (fam, rank)
+        assert sympy.Matrix(_build(fam, rank).cartan.rows).det() == d, (fam, rank)
+        assert cli.main(["info", f"{fam}{rank}"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["cartan_determinant"] == d, (fam, rank)
 
 
 def test_cartan_diagonal_and_integrality():
@@ -244,5 +248,5 @@ def test_d3_matches_a3_invariants():
     d3 = _build("D", 3)
     a3 = _build("A", 3)
     assert sorted(d3.weight_orders) == sorted(a3.weight_orders)
-    assert det_int(d3.cartan) == det_int(a3.cartan)
+    assert sympy.Matrix(d3.cartan.rows).det() == sympy.Matrix(a3.cartan.rows).det()
     assert d3.weyl_order == a3.weyl_order

@@ -6,9 +6,9 @@ import warnings
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
-from rootinv.intlinalg import IntMatrix, rank_int
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
@@ -17,7 +17,6 @@ from rootinv.weyl import (
     enumerate_group,
     group_order_bfs,
     h1_cyclic2,
-    is_reflection,
     orbit,
     orbit_weight_coords,
     reflections,
@@ -47,9 +46,30 @@ def _reflect_ambient(v, beta):
     return tuple(a - coef * b for a, b in zip(v, beta))
 
 
+def _order(w: WeylElement) -> int:
+    power, k = w, 1
+    while not power.is_identity():
+        power, k = power * w, k + 1
+    return k
+
+
+def _apply(w: WeylElement, v) -> tuple[int, ...]:
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in w.matrix)
+
+
+def _minus(w: WeylElement) -> list[list[int]]:
+    """The rows of 1 - w."""
+    return [[(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(w.matrix)]
+
+
+def _is_reflection(w: WeylElement) -> bool:
+    """Reference: 1 - w has rank exactly 1 (a lattice reflection)."""
+    return sympy.Matrix(_minus(w)).rank() == 1
+
+
 def _inverse(w: WeylElement) -> WeylElement:
     out = _identity_element(w.n)
-    for _ in range(w.order() - 1):
+    for _ in range(_order(w) - 1):
         out = out * w
     return out
 
@@ -60,7 +80,7 @@ def test_simple_reflection_matrix_a2():
     assert s1.matrix == ((-1, 1), (0, 1))
     assert s2.matrix == ((1, 0), (1, -1))
     assert (s1 * s1).is_identity()
-    assert (s1 * s2).order() == 3
+    assert _order(s1 * s2) == 3
 
 
 def test_element_algebra():
@@ -71,7 +91,7 @@ def test_element_algebra():
     e = _identity_element(3)
     assert (w * e) == w
     assert hash(w * e) == hash(w)
-    assert w.apply((0, 0, 0)) == (0, 0, 0)
+    assert _apply(w, (0, 0, 0)) == (0, 0, 0)
 
 
 def test_orbit_sizes():
@@ -212,13 +232,26 @@ def test_reflection_count_equals_positive_roots():
         assert len(reflections(rs)) == count
 
 
+def test_reflections_are_the_involutions_of_trace_n_minus_2():
+    for rs in _types("A3", "B3", "B4", "C3", "D4", "G2", "F4"):
+        n = rs.rank
+        criterion = set()
+        for w in enumerate_group(rs):
+            trace = sum(row[i] for i, row in enumerate(w.matrix))
+            involution = (w * w).is_identity() and trace == n - 2
+            assert involution == _is_reflection(w), (rs.rtype.name, w.matrix)
+            if involution:
+                criterion.add(w)
+        assert criterion == set(reflections(rs)), rs.rtype.name
+
+
 def test_reflection_in_root():
     rs = build("B", 3)
     group = enumerate_group(rs)
     for beta in rs.roots:
         s = _reflection_in_root(rs, beta)
-        assert is_reflection(s)
-        assert s.order() == 2
+        assert _is_reflection(s)
+        assert _order(s) == 2
         assert s in group
 
 
@@ -259,7 +292,7 @@ def test_diagonalizable_subgroup_b4():
     assert diag.method == "exhaustive-scan"
     assert diag.rank == 4
     for s in diag.generators:
-        assert is_reflection(s)
+        assert _is_reflection(s)
         assert h1_cyclic2(s) == 2
 
 
@@ -326,13 +359,11 @@ def test_h1_matches_the_c2_lattice_classification():
     names = ["A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"]
     count = 0
     for rs in _types(*names):
-        n = rs.rank
         for w in enumerate_group(rs):
             if not (w * w).is_identity():
                 continue
-            m = w.matrix
-            minus = [[(i == j) - m[i][j] for j in range(n)] for i in range(n)]
-            want = 2 ** (rank_int(IntMatrix.from_rows(minus)) - _rank_f2(minus))
-            assert h1_cyclic2(w) == want, (rs.rtype.name, m)
+            minus = _minus(w)
+            want = 2 ** (sympy.Matrix(minus).rank() - _rank_f2(minus))
+            assert h1_cyclic2(w) == want, (rs.rtype.name, w.matrix)
             count += 1
     assert count == 562

@@ -148,6 +148,8 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
 def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str) -> np.ndarray:
     """Boolean mask of the monoid points of prod [0, s_i), after cap checks that allocate nothing.
 
+    The mask has only the axes of size above 1 (see _box_points): an axis of
+    size 1 holds coordinate 0 alone, which adds nothing to a residue.
     Residues are outer sums of a_i * x mod m in the smallest unsigned type that
     holds 2m (one byte per point for m < 128): dividing a congruence by
     gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
@@ -157,24 +159,34 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
     size = prod(sizes)
     if size > box_cap:
         raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}")
-    if len(sizes) > _MAX_AXES:
-        raise BoxCapExceeded(f"{what} has {len(sizes)} axes, the box scan handles at most {_MAX_AXES}")
-    mask = np.ones(tuple(sizes), dtype=bool)
+    long = [k for k, s in enumerate(sizes) if s > 1]
+    if len(long) > _MAX_AXES:
+        raise BoxCapExceeded(f"{what} has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
+    mask = np.ones(tuple(sizes[k] for k in long), dtype=bool)
     for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
         mod = c.modulus // g
         dtype = np.min_scalar_type(2 * mod)  # holds the sum of two residues
         res = np.zeros((), dtype=dtype)
-        for a, s in zip(c.coeffs, sizes):
-            res = np.add.outer(res, np.fromiter((a // g * x % mod for x in range(s)), dtype, s))
+        for k in long:
+            a, s = c.coeffs[k] // g, sizes[k]
+            res = np.add.outer(res, np.fromiter((a * x % mod for x in range(s)), dtype, s))
             np.remainder(res, mod, out=res)
         mask &= res == 0
     return mask
 
 
+def _box_points(mask: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+    """The points of a _box_mask over sizes, in lex order, with all len(sizes) coordinates."""
+    pts = np.zeros((int(mask.sum()), len(sizes)), dtype=np.int64)
+    pts[:, [k for k, s in enumerate(sizes) if s > 1]] = np.argwhere(mask)
+    return pts
+
+
 def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
     """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
-    pts = np.argwhere(_box_mask(m, m.generator_orders(), box_cap, "box"))
+    z = m.generator_orders()
+    pts = _box_points(_box_mask(m, z, box_cap, "box"), z)
     pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
     return tuple(map(tuple, pts.tolist()))
 
@@ -186,16 +198,17 @@ def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> Hi
     points: v is irreducible exactly when no nonzero monoid point a != v has
     a <= v, that is, when no nonzero monoid point lies below any v - e_i.
     """
-    mask = _box_mask(m, m.generator_orders(), box_cap, "box")
+    z = m.generator_orders()
+    mask = _box_mask(m, z, box_cap, "box")
     mask.flat[0] = False  # the origin
     below = mask.copy()  # below[v]: some nonzero monoid point a <= v
-    for axis in range(m.dim):
+    for axis in range(mask.ndim):
         np.logical_or.accumulate(below, axis=axis, out=below)
-    for axis in range(m.dim):
+    for axis in range(mask.ndim):
         head = (slice(None),) * axis
         mask[head + (slice(1, None),)] &= ~below[head + (slice(None, -1),)]
-    gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(mask.shape)]
-    return HilbertBasis(graded_lex_sorted(gens + np.argwhere(mask).tolist()))
+    gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(z)]
+    return HilbertBasis(graded_lex_sorted(gens + _box_points(mask, z).tolist()))
 
 
 def _below(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -342,7 +355,7 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
     z = m.generator_orders()
     is_cell = np.zeros(z, dtype=bool)
     is_cell[tuple(np.array(cells).T)] = True
-    grid = _box_mask(m, (bound + 1,) * m.dim, box_cap, "cell-partition grid")
+    grid = _box_mask(m, (bound + 1,) * m.dim, box_cap, "cell-partition grid").reshape((bound + 1,) * m.dim)
     hit = grid
     for axis, zi in enumerate(z):  # fold the grid onto the box: hit[r] = any grid[r + k z]
         hit = np.pad(hit, [(0, -n % zi if k == axis else 0) for k, n in enumerate(hit.shape)])

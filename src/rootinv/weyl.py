@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
-from .intlinalg import IntMatrix, RatVector, smith_normal_form
+from .intlinalg import RatVector
 from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -121,7 +121,7 @@ def orbit_weight_coords(
     pts = []
     for mu in orbit_tree(cart, dominant(cart, m)):
         if len(pts) == cap:
-            raise OrbitCapExceeded(f"orbit larger than {cap}")
+            raise OrbitCapExceeded(f"orbit larger than {cap}; raise it with --orbit-cap")
         pts.append(mu)
     return pts
 
@@ -134,31 +134,52 @@ def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
     built once, from its canonical parent (see rootsystem.orbit_tree): w(rho)
     is carried in weight coordinates, and s_i w is a child of w when
     (w rho)_i > 0 and coordinates 0..i-1 of s_i w(rho) are all positive.
+    That is decided on the whole level before any row is gathered; s_i then
+    changes only row i of w, and coordinate i and its (at most 3) Cartan
+    neighbours of w(rho).
+
+    Dtype bounds: a coordinate of w(rho) is <rho, w^-1 alpha_i^vee>, a
+    coroot's height, so at most h - 1 in absolute value, and w(rho) is kept in
+    the smallest signed type that holds h - 1 (int8 while h <= 128: every
+    exceptional type and every classical type up to rank 64).  A matrix entry
+    is a simple-root coordinate of a root, at most the highest root's largest
+    coefficient (6, on E8), so int8.  Intermediates may wrap: the arithmetic
+    is modular, and every result lies in range.
     """
     if rs.weyl_order > cap:
-        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}")
+        raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}; raise it with --group-cap")
     n = rs.rank
-    cartan = np.array(rs.cartan.rows, dtype=np.int64)
-    cartan8 = cartan.astype(np.int8)
+    cart = rs.cartan.rows
+    nbrs = [[j for j in range(n) if j != i and cart[i][j]] for i in range(n)]
     level = np.eye(n, dtype=np.int8)[None, :, :]
-    rho = np.ones((1, n), dtype=np.int64)  # weight coordinates of w(rho)
+    rho = np.ones((n, 1), dtype=_rho_dtype(rs))  # rho[j, f]: weight coordinate j of w_f(rho)
     total = 0
     while level.shape[0]:
         yield level
         total += level.shape[0]
         mats, rhos = [], []
         for i in range(n):
-            up = np.flatnonzero(rho[:, i] > 0)  # s_i w is one step longer
-            r = rho[up] - rho[up, i, None] * cartan[:, i]
-            first = (r[:, :i] > 0).all(axis=1)  # i is the first descent of s_i w
-            new = level[up[first]]
-            # exact in int8: a Cartan row's |entries| sum to at most 5, a Weyl matrix's are at most 6
-            new[:, i, :] -= np.einsum("j,fjk->fk", cartan8[i], new)
+            ri = rho[i]
+            first = ri > 0  # s_i w is one step longer
+            for j in range(i):  # coordinate j of s_i w(rho) is rho_j - c_ji rho_i
+                first &= (rho[j] - cart[j][i] * ri if cart[j][i] else rho[j]) > 0
+            idx = np.flatnonzero(first)
+            new, r = level[idx], rho[:, idx]
+            row, ri = -new[:, i, :], r[i].copy()
+            for j in nbrs[i]:
+                row -= cart[i][j] * new[:, j, :]
+                r[j] -= cart[j][i] * ri
+            new[:, i, :], r[i] = row, -ri
             mats.append(new)
-            rhos.append(r[first])
-        level, rho = np.concatenate(mats), np.concatenate(rhos)
+            rhos.append(r)
+        level, rho = np.concatenate(mats), np.concatenate(rhos, axis=1)
     if total != rs.weyl_order:
         raise AssertionError(f"closure found {total} elements, the order formula gives {rs.weyl_order}")
+
+
+def _rho_dtype(rs: RootSystem) -> np.dtype:
+    """Smallest signed type holding +-(h - 1), h = |Phi| / rank the Coxeter number."""
+    return np.min_scalar_type(-(len(rs.roots) // rs.rank))
 
 
 def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:
@@ -166,18 +187,21 @@ def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:
     return sum(level.shape[0] for level in _group_levels(rs, cap))
 
 
+def _elements(stack: np.ndarray) -> list[WeylElement]:
+    """WeylElements of an integer stack (F, n, n), built from its int16 bytes."""
+    n = stack.shape[-1]
+    out = []
+    for m in stack.astype(np.int16):
+        w = object.__new__(WeylElement)
+        object.__setattr__(w, "n", n)
+        object.__setattr__(w, "_data", m.tobytes())
+        out.append(w)
+    return out
+
+
 def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> frozenset[WeylElement]:
     """All Weyl group elements; raises GroupCapExceeded when |W| > cap."""
-    n = rs.rank
-    out = []
-    for level in _group_levels(rs, cap):
-        lvl16 = level.astype(np.int16)
-        for k in range(lvl16.shape[0]):
-            w = object.__new__(WeylElement)
-            object.__setattr__(w, "n", n)
-            object.__setattr__(w, "_data", lvl16[k].tobytes())
-            out.append(w)
-    return frozenset(out)
+    return frozenset(w for level in _group_levels(rs, cap) for w in _elements(level))
 
 
 def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
@@ -193,7 +217,7 @@ def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylEleme
     for level in _group_levels(rs, cap):
         cand = level[np.trace(level, axis1=1, axis2=2) == n - 2].astype(np.int64)
         square = np.einsum("fij,fjk->fik", cand, cand)
-        found.extend(WeylElement(w.tolist()) for w in cand[(square == eye).all(axis=(1, 2))])
+        found.extend(_elements(cand[(square == eye).all(axis=(1, 2))]))
     found.sort(key=WeylElement.sort_key)
     return tuple(found)
 
@@ -225,7 +249,7 @@ def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
         frontier = nxt
     if 2 * len(found) != len(rs.roots):
         raise AssertionError(f"found {len(found)} positive roots, expected {len(rs.roots) // 2}")
-    out = [WeylElement(m.tolist()) for m in found.values()]
+    out = _elements(np.array(list(found.values())))
     out.sort(key=WeylElement.sort_key)
     return tuple(out)
 
@@ -233,18 +257,25 @@ def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
 def h1_cyclic2(w: WeylElement) -> int:
     """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w.
 
-    ker(1+w) is the saturation of im(1-w), so the quotient is the torsion of
-    coker(1-w): the product of the nonzero Smith invariants of 1-w.
+    Every Z[C2]-lattice is a sum of trivial, sign and regular summands
+    (Reiner, Proc. Amer. Math. Soc. 8, 1957).  Only a sign summand has
+    H^1 != 0, namely Z/2, and 1 - w has rank 0, 1 and 1 on the three over Q
+    but 0, 0 and 1 over F_2.  So |H^1| = 2^(rank_Q(1-w) - rank_F2(1-w)), where
+    rank_Q(1-w) = (n - tr w) / 2 as w has eigenvalues +-1, and the F_2 rank
+    comes from XOR elimination on the rows of 1 - w mod 2, packed as Python ints.
     """
-    if not (w * w).is_identity():
+    n = w.n
+    a = np.frombuffer(w._data, dtype=np.int16).reshape(n, n).astype(np.int64)
+    if not (a @ a == np.eye(n, dtype=np.int64)).all():
         raise NotInvolution("element does not square to the identity")
-    n, m = w.n, w.matrix
-    minus = IntMatrix.from_rows([[(i == j) - m[i][j] for j in range(n)] for i in range(n)])
-    out = 1
-    for d in smith_normal_form(minus).diagonal:
-        if d:
-            out *= d
-    return out
+    basis: list[int] = []  # reduced rows; each clears the top bit of the next ones
+    for i, row in enumerate(a.tolist()):
+        bits = sum(((x + (i == j)) & 1) << j for j, x in enumerate(row))  # row i of 1 - w mod 2
+        for b in basis:
+            bits = min(bits, bits ^ b)
+        if bits:
+            basis.append(bits)
+    return 2 ** ((n - int(np.trace(a))) // 2 - len(basis))
 
 
 @dataclass(frozen=True)

@@ -222,17 +222,27 @@ def test_box_scan_of_32_axes_runs(capsys):
 
 
 @pytest.mark.parametrize("family,dim", [("B", 33), ("D", 40), (None, 33), (None, 70)])
-def test_box_scan_beyond_32_axes_is_an_error_before_it_allocates(capsys, tmp_path, family, dim):
+def test_box_scan_skips_the_axes_of_order_1(capsys, tmp_path, family, dim):
+    # a generator of order 1 adds a one-point axis, and its unit vector is a basis element
     if family is None:
         path = tmp_path / "wide.monoid"
         path.write_text(f"{dim}\n")  # Z+^dim: a one-point box on dim axes
-        argv = ["hilbert", "--monoid", str(path)]
+        code, out = run_cli(capsys, "hilbert", "--monoid", str(path))
+        assert code == 0
+        assert json.loads(out)["payload"]["basis"] == [[int(i == j) for j in range(dim)] for i in reversed(range(dim))]
     else:
-        argv = ["invariants", family, str(dim)]  # boxes of 2 and 2^21 points
-    code = cli.main(argv)
+        code, out = run_cli(capsys, "invariants", family, str(dim))  # boxes of 2 and 2^21 points
+        assert code == 0
+        assert json.loads(out)["payload"]["generator_count"] == {"B": 33, "D": 230}[family]
+
+
+def test_box_scan_beyond_32_long_axes_is_an_error_before_it_allocates(capsys, tmp_path):
+    path = tmp_path / "wide.monoid"
+    path.write_text("40\n" + "1 " * 40 + "mod 2\n")  # 40 axes of 2 points: a box of 2^40 points
+    code = cli.main(["hilbert", "--monoid", str(path), "--box-cap", str(2**40)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == f"error: box has {dim} axes, the box scan handles at most 32\n"
+    assert captured.err == "error: box has 40 axes longer than 1, the box scan handles at most 32\n"
 
 
 def test_degree_bound_needs_relations(capsys):
@@ -246,6 +256,33 @@ def test_selfcheck_weyl_order_honours_the_group_cap():
     checks = dict(cli._selfcheck_list(False, 1000))
     with pytest.raises(GroupCapExceeded, match="exceeds cap 1000"):
         checks["weyl-order-e6"]()
+
+
+def test_selfcheck_cap_failure_names_the_flag(capsys):
+    code, out = run_cli(capsys, "selfcheck", "--group-cap", "10")
+    assert code == 1
+    assert "FAIL  weyl-order-e6: GroupCapExceeded: |W| = 51840 exceeds cap 10; raise it with --group-cap\n" in out
+    assert out.endswith("selfcheck: 14 passed, 1 failed\n")
+
+
+# the class-group route (reflection scan, H^1 on the root reflections) and the widest box scan that runs
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (("selfcheck",), "439cdb5d6f019bad89a999d74eb7a045c7f59dfbd4e871fd5048699c11f04cf3"),
+        (("classgroup", "A", "7"), "988539ea13ca936d0aaa00f0dcd715418e11fddb98b7e7f30777779733c1d8a5"),
+        (("classgroup", "B", "6"), "a2fe8d75d04dbfcd1477013d8ca85201f75c5eb33ae1018350de07f33ba1cd4a"),
+        (("classgroup", "D", "7"), "279851e0ec7c0171498e7026772bc5903b6934bf7cc40ca69c0579bb7b280664"),
+        (("classgroup", "E", "6"), "59264cb8123bcf6160035a5ad80088c9f56d426e03c034d2b89cf9800cdab32f"),
+        (("classgroup", "E", "8"), "477fc7027589dd8dcd58153e79bd83dc1c82b0b10c51ec9bea4e3be63cc5a8ca"),
+        (("classgroup", "B", "7", "--group-cap", "1000"), "05ba2a6992bb952296580cc487f98581c9fe97893eab2488fc30f206e002ec5f"),
+        (("invariants", "B", "32"), "99121182e073d98561e65acbd569b86c22649e506bbe33b65aa5f8ada448f54a"),
+    ],
+)
+def test_class_group_and_box_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_report_never_enumerates_the_group(capsys, monkeypatch):

@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
+from math import prod
 
+import numpy as np
 import pytest
 import sympy
 
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
+from rootinv.intlinalg import IntMatrix, smith_normal_form
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
     _group_levels,
+    _rho_dtype,
     diagonalizable_reflection_subgroup,
     enumerate_group,
     group_order_bfs,
@@ -367,3 +371,92 @@ def test_h1_matches_the_c2_lattice_classification():
             assert h1_cyclic2(w) == want, (rs.rtype.name, w.matrix)
             count += 1
     assert count == 562
+
+
+def _h1_smith_reference(w: WeylElement) -> int:
+    """Reference: the torsion of coker(1 - w), the product of the nonzero Smith invariants of 1 - w."""
+    return prod(d for d in smith_normal_form(IntMatrix.from_rows(_minus(w))).diagonal if d)
+
+
+def test_h1_matches_the_smith_reference():
+    names = [f"A{r}" for r in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    names += [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 13)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    reflection_count = 0
+    for rs in _types(*names):
+        for w in root_reflections(rs):
+            assert h1_cyclic2(w) == _h1_smith_reference(w), (rs.rtype.name, w.matrix)
+            reflection_count += 1
+    involution_count = 0
+    for rs in _types("A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"):
+        for w in enumerate_group(rs):
+            if (w * w).is_identity():
+                assert h1_cyclic2(w) == _h1_smith_reference(w), (rs.rtype.name, w.matrix)
+                involution_count += 1
+    assert (reflection_count, involution_count) == (1785, 562)
+
+
+def _group_levels_reference(rs):
+    """Reference: the dense kernel, yielding each level with w(rho) in int64.
+
+    It gathers every element that s_i lengthens with all n coordinates of
+    w(rho), and rewrites row i of each matrix with an einsum over the whole
+    Cartan row i.
+    """
+    n = rs.rank
+    cartan = np.array(rs.cartan.rows, dtype=np.int64)
+    cartan8 = cartan.astype(np.int8)
+    level = np.eye(n, dtype=np.int8)[None, :, :]
+    rho = np.ones((1, n), dtype=np.int64)
+    while level.shape[0]:
+        yield level, rho
+        mats, rhos = [], []
+        for i in range(n):
+            up = np.flatnonzero(rho[:, i] > 0)
+            r = rho[up] - rho[up, i, None] * cartan[:, i]
+            first = (r[:, :i] > 0).all(axis=1)
+            new = level[up[first]]
+            new[:, i, :] -= np.einsum("j,fjk->fk", cartan8[i], new)
+            mats.append(new)
+            rhos.append(r[first])
+        level, rho = np.concatenate(mats), np.concatenate(rhos)
+
+
+def _types_up_to(order: int):
+    """Every type with |W| <= order."""
+    out = _types("E6", "F4", "G2")
+    for family, rank in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        while (rs := _types(f"{family}{rank}")[0]).weyl_order <= order:
+            out.append(rs)
+            rank += 1
+    return out
+
+
+def test_group_levels_match_the_dense_reference():
+    types = _types_up_to(60_000)
+    assert len(types) == 24  # A1-A7, B2-B6, C2-C6, D3-D6, E6, F4, G2
+    for rs in types:
+        got = list(_group_levels(rs, rs.weyl_order))
+        want = [level for level, _ in _group_levels_reference(rs)]
+        assert len(got) == len(want), rs.rtype.name
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int8, rs.rtype.name
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), rs.rtype.name
+
+
+def test_group_level_dtypes_hold_their_bounds():
+    for rs in _types_up_to(60_000):
+        h = len(rs.roots) // rs.rank  # the Coxeter number
+        rho_max = max(int(np.abs(rho).max()) for _, rho in _group_levels_reference(rs))
+        assert rho_max == h - 1 <= np.iinfo(_rho_dtype(rs)).max, rs.rtype.name
+        top = max(max(rs.alpha_coords(beta)) for beta in rs.roots)  # the highest root's largest coefficient
+        entry_max = max(int(np.abs(level).max()) for level in _group_levels(rs, rs.weyl_order))
+        assert entry_max == top <= np.iinfo(np.int8).max, rs.rtype.name
+    assert _rho_dtype(build("E", 8)) == np.int8  # h - 1 = 29
+
+
+def test_cap_errors_name_their_flag():
+    with pytest.raises(GroupCapExceeded, match=r"^\|W\| = 51840 exceeds cap 1000; raise it with --group-cap$"):
+        group_order_bfs(build("E", 6), cap=1000)
+    with pytest.raises(OrbitCapExceeded, match=r"^orbit larger than 100; raise it with --orbit-cap$"):
+        orbit_weight_coords(build("E", 6), (1,) * 6, cap=100)

@@ -432,15 +432,16 @@ def _run_check(fn) -> tuple[bool, str]:
 
 
 def cmd_selfcheck(args: argparse.Namespace) -> int:
-    warnings.filterwarnings("ignore", message=".*isomorphic.*")
     checks = _selfcheck_list(args.include_e7, args.group_cap)
     failures = 0
-    for name, fn in checks:
-        ok, detail = _run_check(fn)
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        print(f"{status}  {name}: {detail}")
+    with warnings.catch_warnings():  # the filter ends with the call
+        warnings.filterwarnings("ignore", message=".*isomorphic.*")
+        for name, fn in checks:
+            ok, detail = _run_check(fn)
+            status = "PASS" if ok else "FAIL"
+            if not ok:
+                failures += 1
+            print(f"{status}  {name}: {detail}")
     print(f"selfcheck: {len(checks) - failures} passed, {failures} failed")
     return 0 if failures == 0 else 1
 

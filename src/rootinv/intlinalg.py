@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, InfiniteQuotient
@@ -103,130 +103,53 @@ class SmithForm:
     diagonal: IntVec
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
 def smith_normal_form(a: IntMatrix) -> SmithForm:
-    """Smith normal form by exact row/column reduction with min-abs pivoting."""
+    """Smith normal form U A V = D by one pivoting loop.
+
+    The loop follows Cohen, A Course in Computational Algebraic Number Theory,
+    1993, Alg. 2.4.14.  Each step pivots on the smallest nonzero entry of the
+    trailing block and divides it out of its row and column.  A remainder is
+    smaller than the pivot, so the step then pivots again on the block's
+    smallest entry, which keeps the entries small.  Once the row and column
+    are clear, a row holding an entry that the pivot does not divide is added
+    to the pivot row, so that d1 | d2 | ... .
+    """
     m, n = a.nrows, a.ncols
     d = [list(r) for r in a.rows]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def pivot_at(t: int) -> bool:
-        # move a minimal-magnitude nonzero entry of the trailing block to (t, t)
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = abs(d[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        if best is None:
-            return False
-        _, i, j = best
-        if i != t:
-            _swap_rows(d, i, t)
-            _swap_rows(u, i, t)
-        if j != t:
-            _swap_cols(d, j, t)
-            _swap_cols(v, j, t)
-        return True
-
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
     t = 0
     while t < min(m, n):
-        if not pivot_at(t):
+        block = [(abs(x), i, j) for i in range(t, m) for j, x in enumerate(d[i][t:], t) if x]
+        if not block:
             break
-        while True:
-            # clear column t with row operations
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t]:
-                    q = d[i][t] // d[t][t]
-                    if q:
-                        for j in range(n):
-                            d[i][j] -= q * d[t][j]
-                        for j in range(m):
-                            u[i][j] -= q * u[t][j]
-                    if d[i][t]:
-                        _swap_rows(d, i, t)
-                        _swap_rows(u, i, t)
-                        dirty = True
-            # clear row t with column operations
-            for j in range(t + 1, n):
-                if d[t][j]:
-                    q = d[t][j] // d[t][t]
-                    if q:
-                        for i in range(m):
-                            d[i][j] -= q * d[i][t]
-                        for i in range(n):
-                            v[i][j] -= q * v[i][t]
-                    if d[t][j]:
-                        _swap_cols(d, j, t)
-                        _swap_cols(v, j, t)
-                        dirty = True
-            if not dirty:
-                break
-        if d[t][t] < 0:
-            for j in range(n):
-                d[t][j] = -d[t][j]
-            for j in range(m):
-                u[t][j] = -u[t][j]
+        _, i, j = min(block)
+        d[t], d[i], u[t], u[i] = d[i], d[t], u[i], u[t]
+        for row in d + v:
+            row[t], row[j] = row[j], row[t]
+        p = d[t][t]
+        for i in range(t + 1, m):
+            q = d[i][t] // p
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], d[t])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, n):
+            q = d[t][j] // p
+            if q:
+                for row in d + v:
+                    row[j] -= q * row[t]
+        if any(d[i][t] for i in range(t + 1, m)) or any(d[t][t + 1 :]):
+            continue
+        bad = next((i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1 :])), None)
+        if bad is not None:
+            d[t] = [x + y for x, y in zip(d[t], d[bad])]
+            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            continue
+        if p < 0:
+            d[t], u[t] = [-x for x in d[t]], [-x for x in u[t]]
         t += 1
-
-    # enforce the divisibility chain d1 | d2 | ...
-    r = t
-    changed = True
-    while changed:
-        changed = False
-        for i in range(r - 1):
-            if d[i + 1][i + 1] % d[i][i]:
-                # fold entry i+1 into column i, then re-reduce the 2x2 block
-                for k in range(m):
-                    d[k][i] += d[k][i + 1]
-                for k in range(n):
-                    v[k][i] += v[k][i + 1]
-                a_, b_ = d[i][i], d[i + 1][i]
-                g = gcd(a_, b_)
-                # row-reduce the pair (a_, b_) to (g, 0) via Bezout
-                x, y = _bezout(a_, b_)
-                ri, rj = list(d[i]), list(d[i + 1])
-                ui, uj = list(u[i]), list(u[i + 1])
-                for k in range(n):
-                    d[i][k] = x * ri[k] + y * rj[k]
-                    d[i + 1][k] = (-b_ // g) * ri[k] + (a_ // g) * rj[k]
-                for k in range(m):
-                    u[i][k] = x * ui[k] + y * uj[k]
-                    u[i + 1][k] = (-b_ // g) * ui[k] + (a_ // g) * uj[k]
-                # clear the leftover entry in row i
-                qq = d[i][i + 1] // g
-                for k in range(m):
-                    d[k][i + 1] -= qq * d[k][i]
-                for k in range(n):
-                    v[k][i + 1] -= qq * v[k][i]
-                if d[i + 1][i + 1] < 0:
-                    for k in range(n):
-                        d[i + 1][k] = -d[i + 1][k]
-                    for k in range(m):
-                        u[i + 1][k] = -u[i + 1][k]
-                changed = True
-    diag = tuple(d[i][i] for i in range(r)) + (0,) * (min(m, n) - r)
+    diag = tuple(d[i][i] for i in range(t)) + (0,) * (min(m, n) - t)
     return SmithForm(IntMatrix.from_rows(u), IntMatrix.from_rows(v), diag)
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """Return (x, y) with x*a + y*b == gcd(a, b)."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return x0, y0
 
 
 def integer_kernel(a: IntMatrix) -> tuple[IntVec, ...]:

@@ -145,8 +145,11 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     return CongruenceMonoid(dim, tuple(congs))
 
 
-def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str) -> np.ndarray:
+def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str, knob: str) -> np.ndarray:
     """Boolean mask of the monoid points of prod [0, s_i), after cap checks that allocate nothing.
+
+    A cap error names what was scanned and the knob (a flag or an argument)
+    that raises the cap.
 
     The mask has only the axes of size above 1 (see _box_points): an axis of
     size 1 holds coordinate 0 alone, which adds nothing to a residue.
@@ -158,7 +161,7 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
     """
     size = prod(sizes)
     if size > box_cap:
-        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}")
+        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}; raise it with {knob}")
     long = [k for k, s in enumerate(sizes) if s > 1]
     if len(long) > _MAX_AXES:
         raise BoxCapExceeded(f"{what} has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
@@ -186,7 +189,7 @@ def _box_points(mask: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
 def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
     """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
     z = m.generator_orders()
-    pts = _box_points(_box_mask(m, z, box_cap, "box"), z)
+    pts = _box_points(_box_mask(m, z, box_cap, "box", "--box-cap"), z)
     pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
     return tuple(map(tuple, pts.tolist()))
 
@@ -199,7 +202,7 @@ def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> Hi
     a <= v, that is, when no nonzero monoid point lies below any v - e_i.
     """
     z = m.generator_orders()
-    mask = _box_mask(m, z, box_cap, "box")
+    mask = _box_mask(m, z, box_cap, "box", "--box-cap")
     mask.flat[0] = False  # the origin
     below = mask.copy()  # below[v]: some nonzero monoid point a <= v
     for axis in range(mask.ndim):
@@ -355,7 +358,9 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
     z = m.generator_orders()
     is_cell = np.zeros(z, dtype=bool)
     is_cell[tuple(np.array(cells).T)] = True
-    grid = _box_mask(m, (bound + 1,) * m.dim, box_cap, "cell-partition grid").reshape((bound + 1,) * m.dim)
+    shape = (bound + 1,) * m.dim
+    knob = "verify_cell_partition's box_cap argument"
+    grid = _box_mask(m, shape, box_cap, "cell-partition grid", knob).reshape(shape)
     hit = grid
     for axis, zi in enumerate(z):  # fold the grid onto the box: hit[r] = any grid[r + k z]
         hit = np.pad(hit, [(0, -n % zi if k == axis else 0) for k, n in enumerate(hit.shape)])

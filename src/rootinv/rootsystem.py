@@ -5,18 +5,20 @@ B/C/D families in R^n, G2 in R^3, F4 in R^4 and E6/E7/E8 in R^8.  Simple
 bases follow the Bourbaki planches, so every downstream index (weights,
 congruence coefficients, generator orders) is in Bourbaki order.  The
 roots are the Weyl orbits of the simple roots, walked on one canonical-parent
-tree with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
-coefficients m_i of the highest root (Bourbaki, Lie Groups and Lie Algebras,
-Ch. VI, 2).
+tree with no deduplication and kept as one integer table of simple-root
+coordinates, and |W| = n! * |P/Q| * prod(m_i) over the coefficients m_i of
+the highest root (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, 2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, lcm, prod
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import InvalidRank
 from .intlinalg import IntMatrix, QVec, RatVector, scaled_inverse
@@ -83,6 +85,8 @@ class RootSystem:
     ambient_dim: int
     simple_roots: tuple[QVec, ...]
     roots: tuple[QVec, ...]
+    root_coords: np.ndarray = field(compare=False)  # row k: simple-root coordinates of roots[k]
+    gram: np.ndarray = field(compare=False)  # den^2 (alpha_i, alpha_j), den clearing the simple roots
     cartan: IntMatrix  # entry (i, j) = <alpha_j, alpha_i^vee>
     fundamental_weights_ambient: tuple[QVec, ...]
     fundamental_weights_alpha: tuple[QVec, ...]
@@ -213,12 +217,6 @@ def orbit_tree(cartan_rows, top: Sequence) -> Iterator[tuple]:
         level = children
 
 
-def _matmul(a, b) -> list[list[int]]:
-    """Product of two integer matrices given as lists of rows."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def _over(nums: list[list[int]], den: int) -> tuple[QVec, ...]:
     """The rows of the integer matrix nums divided by den, as Fractions."""
     frac = {x: Q(x, den) for x in {x for row in nums for x in row}}  # a few distinct values
@@ -226,43 +224,51 @@ def _over(nums: list[list[int]], den: int) -> tuple[QVec, ...]:
 
 
 def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
-    """Construct the root system with all derived weight data."""
+    """Construct the root system with all derived weight data.
+
+    Raises AssertionError unless |Phi| = rank * h, where h = ht(theta) + 1 is
+    the Coxeter number of the highest root theta (Bourbaki, Ch. VI, 1.11).
+    """
     if isinstance(t, str):
         t = RootSystemType.parse(t, rank)
     dim, alphas = _simple_roots(t)
     n = t.rank
     den = lcm(*(x.denominator for a in alphas for x in a))
-    simple = [[int(x * den) for x in a] for a in alphas]  # den * alpha_i, integral
-    gram = _matmul(simple, list(zip(*simple)))
+    simple = np.array([[int(x * den) for x in a] for a in alphas], dtype=np.int64)  # den * alpha_i
+    gram = simple @ simple.T
     # entry (i, j) = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)
-    cartan_rows = [[2 * g // row[i] for g in row] for i, row in enumerate(gram)]
+    cartan_rows = (2 * gram // gram.diagonal()[:, None]).tolist()
     cartan = IntMatrix.from_rows(cartan_rows)
 
     # fundamental weights: rows of the inverse transposed Cartan matrix are
     # the alpha-coordinates (so that <w_i, alpha_j^vee> = delta_ij)
     f, scaled = scaled_inverse(cartan)  # f = det(cartan) = |P/Q|, and f * cartan^{-1}
-    adj_t = scaled.transpose().rows  # f * walpha, integral
-    walpha = _over(adj_t, f)
-    weights = _matmul(adj_t, simple)  # f * den * w_i in ambient coordinates, integral
+    adj_t = np.array(scaled.transpose().rows, dtype=np.int64)  # f * walpha, integral
+    walpha = _over(adj_t.tolist(), f)
 
     # roots: the orbits of the simple roots, whose weight coordinates are the
     # Cartan columns; W is transitive on the roots of each length
-    by_length = {row[i]: i for i, row in enumerate(gram)}
+    by_length = {g: i for i, g in enumerate(gram.diagonal().tolist())}
     tops = [dominant(cartan_rows, [row[j] for row in cartan_rows]) for j in by_length.values()]
-    pts = [m for top in tops for m in orbit_tree(cartan_rows, top)]
-    # the highest root is the dominant root of greatest height; f * its alpha-coordinates
-    highest = max(_matmul(tops, adj_t), key=sum)
+    pts = np.array([m for top in tops for m in orbit_tree(cartan_rows, top)], dtype=np.int64)
+    coords = pts @ adj_t // f  # simple-root coordinates; every root lies in Q
+    highest = coords[coords.sum(axis=1).argmax()].tolist()  # the root of greatest height
+    expected = n * (sum(highest) + 1)
+    if len(coords) != expected:
+        raise AssertionError(f"{t.name}: {len(coords)} roots, but rank * (ht(theta) + 1) = {expected}")
 
     return RootSystem(
         rtype=t,
         ambient_dim=dim,
         simple_roots=tuple(alphas),
-        roots=_over(_matmul(pts, weights), f * den),
+        roots=_over((coords @ simple).tolist(), den),
+        root_coords=coords,
+        gram=gram,
         cartan=cartan,
-        fundamental_weights_ambient=_over(weights, f * den),
+        fundamental_weights_ambient=_over((adj_t @ simple).tolist(), f * den),
         fundamental_weights_alpha=walpha,
         weight_orders=tuple(lcm(*(c.denominator for c in w)) for w in walpha),
-        weyl_order=factorial(n) * f * prod(x // f for x in highest),
+        weyl_order=factorial(n) * f * prod(highest),
     )
 
 

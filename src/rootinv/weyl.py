@@ -225,33 +225,21 @@ def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylEleme
 def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The |Phi+| root reflections, the reflections of W, in integer arithmetic.
 
-    Closes the simple roots under the simple reflections inside the positive
-    roots (in simple-root coordinates), carrying s_beta along by the
-    conjugation s_{s_i beta} = s_i s_beta s_i.
+    For a positive root beta with simple-root coordinates b (a row of
+    RootSystem.root_coords), s_beta sends alpha_j to alpha_j - <alpha_j,
+    beta^vee> beta, so its matrix is 1 - b (x) c with c_j = <alpha_j, beta^vee>
+    = 2 (alpha_j, beta) / (beta, beta) = 2 (G b)_j / (b . G b) for the Gram
+    matrix G of the simple roots (Bourbaki, Ch. VI, 1.1).  All of them are
+    built at once; a remainder in that division raises ValueError.
     """
-    n = rs.rank
-    cart = rs.cartan.rows
-    simple = [np.array(s.matrix, dtype=np.int64) for s in simple_reflections(rs)]
-    found = {}
-    for i in range(n):
-        found[tuple(int(i == j) for j in range(n))] = simple[i]
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for beta in frontier:
-            for i in range(n):
-                # s_i beta = beta - <beta, alpha_i^vee> alpha_i; negative only for beta = alpha_i
-                bi = beta[i] - sum(c * b for c, b in zip(cart[i], beta))
-                img = beta[:i] + (bi,) + beta[i + 1 :]
-                if bi >= 0 and img not in found:
-                    found[img] = simple[i] @ found[beta] @ simple[i]
-                    nxt.append(img)
-        frontier = nxt
-    if 2 * len(found) != len(rs.roots):
-        raise AssertionError(f"found {len(found)} positive roots, expected {len(rs.roots) // 2}")
-    out = _elements(np.array(list(found.values())))
-    out.sort(key=WeylElement.sort_key)
-    return tuple(out)
+    b = rs.root_coords[(rs.root_coords >= 0).all(axis=1)]  # the positive roots
+    gb = b @ rs.gram
+    c, rem = np.divmod(2 * gb, (b * gb).sum(axis=1, keepdims=True))
+    if rem.any():
+        raise ValueError(f"{rs.rtype.name}: a coroot pairing <alpha_j, beta^vee> is not an integer")
+    mats = np.eye(rs.rank, dtype=np.int64) - b[:, :, None] * c[:, None, :]
+    flat = mats.reshape(len(mats), -1)
+    return tuple(_elements(mats[np.lexsort(flat.T[::-1])]))  # the order of WeylElement.sort_key
 
 
 def h1_cyclic2(w: WeylElement) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from math import comb
 from pathlib import Path
 
@@ -212,7 +213,7 @@ def test_classgroup_fallback(capsys):
 def test_invariants_honours_box_cap(capsys):
     code = cli.main(["invariants", "A", "3", "--box-cap", "3"])
     assert code == 1
-    assert "cap is 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: box has 32 points, box cap is 3; raise it with --box-cap\n"
 
 
 def test_box_scan_of_32_axes_runs(capsys):
@@ -313,7 +314,8 @@ _RESIDUAL_TYPES = (
 @pytest.mark.parametrize("name", _RESIDUAL_TYPES)
 def test_relation_generators_are_the_residual_basis(name):
     # M = Z+^free x M_res: the residual's basis is read off the report's basis
-    rep = report(build(name))
+    with pytest.warns(UserWarning, match="C_2 is isomorphic to B_2") if name == "C2" else nullcontext():
+        rep = report(build(name))
     assert rep.residual is not None
     want = graded_lex_sorted(hilbert_basis_box(rep.residual))
     assert cli._relations_block(name, rep, 1)["generators"] == [list(v) for v in want]

@@ -57,18 +57,33 @@ def test_smith_rectangular():
     assert smith_normal_form(a2).diagonal == (1,)
 
 
+# a Euclid loop that swaps rows and columns in place, with no re-pivoting on
+# the whole block, let the entries of this matrix grow without bound
+_SMITH_BLOW_UP = [
+    [16, 16, -14, -7, 20, 16],
+    [-3, -2, -13, -16, 10, 20],
+    [10, -15, 2, -16, 6, -11],
+    [-19, -2, 7, 6, -13, -18],
+    [18, 19, -18, 4, 17, 1],
+    [15, -3, 12, -5, -18, -1],
+]
+
+
 def test_smith_against_sympy_random():
     rng = random.Random(20260825)
-    for trial in range(60):
-        nr = rng.randint(1, 5)
-        nc = rng.randint(1, 5)
-        rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
+    inputs = [_SMITH_BLOW_UP]
+    for _ in range(60):
+        nr = rng.randint(1, 7)
+        nc = rng.randint(1, 7)
+        inputs.append([[rng.randint(-20, 20) for _ in range(nc)] for _ in range(nr)])
+    for trial, rows in enumerate(inputs):
         a = IntMatrix.from_rows(rows)
         check_smith(a)
         ours = [x for x in smith_normal_form(a).diagonal if x]
         sm = sympy_snf(sympy.Matrix(rows))
-        theirs = [abs(int(sm[i, i])) for i in range(min(nr, nc)) if sm[i, i] != 0]
+        theirs = [abs(int(sm[i, i])) for i in range(min(a.nrows, a.ncols)) if sm[i, i] != 0]
         assert ours == theirs, f"trial {trial}: {rows}"
+    assert smith_normal_form(IntMatrix.from_rows(_SMITH_BLOW_UP)).diagonal == (1, 1, 1, 1, 1, 51304324)
 
 
 def test_integer_kernel_spans_known_solutions():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import pytest
@@ -189,7 +190,7 @@ def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
     m = family_monoid(build("C", 6))
     tracemalloc.start()
     try:
-        mask = _box_mask(m, (11,) * 6, DEFAULT_BOX_CAP, "grid")
+        mask = _box_mask(m, (11,) * 6, DEFAULT_BOX_CAP, "grid", "box_cap")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,13 +198,17 @@ def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
     assert peak < 4 * 11**6
     # 2 * 301 needs two bytes
     m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
-    got = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box")
+    got = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box", "--box-cap")
     assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(40)] for x in range(301)]
 
 
 def test_verify_cell_partition_checks_the_grid_cap_first():
     # 11^4 = 14641 grid points; the box of D4 itself has only 16
-    with pytest.raises(BoxCapExceeded, match="grid has 14641 points, box cap is 1000"):
+    message = (
+        "cell-partition grid has 14641 points, box cap is 1000;"
+        " raise it with verify_cell_partition's box_cap argument"
+    )
+    with pytest.raises(BoxCapExceeded, match=f"^{re.escape(message)}$"):
         verify_cell_partition(family_monoid(build("D", 4)), 10, box_cap=1000)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from rootinv import reports
@@ -229,7 +231,8 @@ _SHIM_CASES = (
 
 @pytest.mark.parametrize("name,shim", _SHIM_CASES, ids=[name for name, _ in _SHIM_CASES])
 def test_report_agrees_with_the_named_entry_points(name, shim):
-    assert report(build(name)) == shim()
+    with pytest.warns(UserWarning, match="C_2 is isomorphic to B_2") if name == "C2" else nullcontext():
+        assert report(build(name)) == shim()
 
 
 def test_public_names_keep_every_report_entry_point():

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 import sympy
 
-from rootinv import cli
+from rootinv import cli, rootsystem
 from rootinv.errors import InvalidRank
 from rootinv.rootsystem import RootSystemType, build
 
@@ -195,6 +195,38 @@ def test_weight_coords_round_trip():
     for m in [(1, 0, 0), (0, 2, 1), (3, 1, 2)]:
         v = rs.from_weight_coords(m)
         assert rs.pairing_with_simple(v) == m
+
+
+# the highest root in the simple-root basis (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, planches I-IX)
+HIGHEST_ROOT = {
+    "A": lambda n: (1,) * n,
+    "B": lambda n: (1,) + (2,) * (n - 1),
+    "C": lambda n: (2,) * (n - 1) + (1,),
+    "D": lambda n: (1,) + (2,) * (n - 3) + (1, 1),
+    "E": lambda n: {6: (1, 2, 2, 3, 2, 1), 7: (2, 2, 3, 4, 3, 2, 1), 8: (2, 3, 4, 6, 5, 4, 3, 2)}[n],
+    "F": lambda n: (2, 3, 4, 2),
+    "G": lambda n: (3, 2),
+}
+
+
+@pytest.mark.parametrize("fam,rank", ALL_TYPES)
+def test_root_table_against_bourbaki(fam, rank):
+    rs = _build(fam, rank)
+    table = [tuple(row) for row in rs.root_coords.tolist()]
+    assert table == [rs.alpha_coords(beta) for beta in rs.roots]
+    positive = [b for b in table if min(b) >= 0]
+    assert len(positive) == ROOT_COUNT[fam](rank) // 2
+    assert sorted(b for b in table if max(b) <= 0) == sorted(tuple(-x for x in b) for b in positive)
+    assert max(positive, key=sum) == HIGHEST_ROOT[fam](rank)
+
+
+def test_build_checks_the_root_count(monkeypatch, capsys):
+    walk = rootsystem.orbit_tree
+    monkeypatch.setattr(rootsystem, "orbit_tree", lambda cart, top: list(walk(cart, top))[:-1])
+    with pytest.raises(AssertionError, match=r"E6: 71 roots, but rank \* \(ht\(theta\) \+ 1\) = 72"):
+        build("E", 6)
+    assert cli.main(["info", "E6"]) == 1
+    assert "71 roots" in capsys.readouterr().err
 
 
 def test_roots_closed_under_simple_reflections():

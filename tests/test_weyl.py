@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from fractions import Fraction
 from math import prod
@@ -340,6 +341,22 @@ def test_root_reflections_match_the_fraction_reference():
         got = root_reflections(rs)
         assert len(got) == len(want) == len(positive), rs.rtype.name
         assert set(got) == want, rs.rtype.name
+
+
+def test_root_reflections_of_d40_are_1560_involutions():
+    refl = root_reflections(build("D", 40))
+    assert len(set(refl)) == len(refl) == 1560
+    assert list(refl) == sorted(refl, key=WeylElement.sort_key)
+    mats = np.array([w.matrix for w in refl], dtype=np.int64)
+    assert (mats @ mats == np.eye(40, dtype=np.int64)).all()
+    assert (np.trace(mats, axis1=1, axis2=2) == 38).all()
+
+
+def test_root_reflections_reject_a_fractional_coroot_pairing():
+    rs = build("B", 2)
+    bad = dataclasses.replace(rs, gram=np.array([[2, -1], [-1, 3]]))  # (alpha_1, alpha_2^vee) = -2/3
+    with pytest.raises(ValueError, match="not an integer"):
+        root_reflections(bad)
 
 
 def _rank_f2(rows):

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -273,9 +274,9 @@ def _check_kernel(row: tuple[int, ...], want: set, residual=None) -> str:
     return f"{len(want)} vectors; projection matches residual basis"
 
 
-def _check_box_kernel_agreement() -> str:
+def _check_box_kernel_agreement(systems) -> str:
     for rank in range(2, 7):
-        m = family_monoid(build(RootSystemType("A", rank)))
+        m = family_monoid(systems(RootSystemType("A", rank)))
         box = set(hilbert_basis_box(m))
         c = m.congruences[0]
         row = tuple(c.coeffs) + (-c.modulus,)
@@ -284,8 +285,8 @@ def _check_box_kernel_agreement() -> str:
     return "ranks 2..6 agree"
 
 
-def _check_a2_identities() -> str:
-    rs = build(RootSystemType("A", 2))
+def _check_a2_identities(systems) -> str:
+    rs = systems(RootSystemType("A", 2))
     mu = omega_expand(rs, (1, 1))
     p1 = omega_expand(rs, (3, 0))
     p2 = omega_expand(rs, (0, 3))
@@ -297,8 +298,8 @@ def _check_a2_identities() -> str:
     return "cubic + 3 orbit-sum identities"
 
 
-def _relation_check(type_name: str) -> str:
-    block = _relations_block(type_name, report(build(type_name)), None)
+def _relation_check(systems, type_name: str) -> str:
+    block = _relations_block(type_name, report(systems(RootSystemType.parse(type_name))), None)
     fx = block["fixture"]
     _expect(fx["all_relations_verify"], "a fixture relation fails")
     _expect(fx["equivalent"], "regeneration not equivalent")
@@ -306,19 +307,19 @@ def _relation_check(type_name: str) -> str:
     return f"{fx['relation_count']} fixture relations verified; regeneration of {count} equivalent"
 
 
-def _check_generator_counts(family: str, ranks: range, count, generators) -> str:
+def _check_generator_counts(systems, family: str, ranks: range, count, generators) -> str:
     for n in ranks:
-        rep = report(build(family, n))
+        rep = report(systems(RootSystemType(family, n)))
         _expect(rep.generator_count == count(n), f"{family}{n}: {rep.generator_count}")
         _expect(set(rep.hilbert_basis) == set(generators(n)), f"{family}{n}: basis mismatch")
     return f"n = {ranks[0]}..{ranks[-1]}"
 
 
-def _check_e7_veronese() -> str:
+def _check_e7_veronese(systems) -> str:
     residual = set(e7_residual_hilbert_basis())
     _expect(len(residual) == 6, "residual basis size")
     _expect(set(veronese_generators(3)) == residual, "not the quadratic Veronese generators")
-    rep = report(build("E", 7))
+    rep = report(systems(RootSystemType("E", 7)))
     _expect(len(rep.free_coordinates) == 4, "free coordinate count")
     _expect(rep.generator_count == 10, "total generator count")
     return "6 residual generators = Veronese d=3; report 4 free + 6"
@@ -341,29 +342,29 @@ def _class_table(include_e7: bool) -> list[tuple[str, str]]:
     return table
 
 
-def _check_class_groups(include_e7: bool, group_cap: int) -> str:
+def _check_class_groups(systems, include_e7: bool, group_cap: int) -> str:
     for name, want in _class_table(include_e7):
-        rs = build(RootSystemType.parse(name))
+        rs = systems(RootSystemType.parse(name))
         res = class_group_cross_check(rs, group_cap)
         _expect(res.name == want, f"{name}: got {res.name}, want {want}")
     # beyond the scan cap: decided on the root reflections, without enumerating W
     for n in (7, 8):
-        rs = build(RootSystemType("B", n))
+        rs = systems(RootSystemType("B", n))
         res = class_group(rs, cap=1000)
         _expect(res.name == "0", f"B{n} fallback: got {res.name}")
         _expect(res.method != "exhaustive-scan", "fallback not exercised")
     return "table verified with toric cross-checks"
 
 
-def _check_orbit_invariance() -> str:
-    systems = [RootSystemType("A", r) for r in range(1, 6)]
-    systems += [RootSystemType("B", n) for n in range(2, 6)]
-    systems += [RootSystemType("C", n) for n in range(2, 6)]
-    systems += [RootSystemType("D", n) for n in range(4, 6)]
-    systems.append(RootSystemType("E", 6))
+def _check_orbit_invariance(systems) -> str:
+    types = [RootSystemType("A", r) for r in range(1, 6)]
+    types += [RootSystemType("B", n) for n in range(2, 6)]
+    types += [RootSystemType("C", n) for n in range(2, 6)]
+    types += [RootSystemType("D", n) for n in range(4, 6)]
+    types.append(RootSystemType("E", 6))
     count = 0
-    for t in systems:
-        rs = build(t)
+    for t in types:
+        rs = systems(t)
         for i in range(rs.rank):
             unit = tuple(1 if j == i else 0 for j in range(rs.rank))
             p = orbit_sum_weight_coords(rs, unit)
@@ -372,25 +373,26 @@ def _check_orbit_invariance() -> str:
     return f"{count} fundamental orbit sums invariant"
 
 
-def _check_hironaka_partition() -> str:
+def _check_hironaka_partition(systems) -> str:
     total = 0
     for t in (
         [RootSystemType("A", r) for r in range(2, 5)]
         + [RootSystemType("C", n) for n in range(2, 7)]
         + [RootSystemType("D", n) for n in range(4, 7)]
     ):
-        m = family_monoid(build(t))
+        m = family_monoid(systems(t))
         total += verify_cell_partition(m, 10)
     return f"{total} monoid elements reduced to unique cells"
 
 
-def _check_weyl_order(type_name: str, want: int, group_cap: int) -> str:
-    n = group_order_bfs(build(type_name), group_cap)
+def _check_weyl_order(systems, type_name: str, want: int, group_cap: int) -> str:
+    n = group_order_bfs(systems(RootSystemType.parse(type_name)), group_cap)
     _expect(n == want, f"got {n}")
     return f"|W({type_name})| = {want} by closure"
 
 
 def _selfcheck_list(include_e7: bool, group_cap: int):
+    systems = functools.cache(build)  # each type built once for these checks, and shared by them
     checks = [
         ("hilbert-kernel-3var", lambda: _check_kernel((1, 2, -3), _KERNEL_3VAR)),
         ("hilbert-kernel-4var", lambda: _check_kernel((1, 2, 3, -4), _KERNEL_4VAR)),
@@ -398,29 +400,29 @@ def _selfcheck_list(include_e7: bool, group_cap: int):
             "hilbert-kernel-e6",
             lambda: _check_kernel((1, 2, 1, 2, -3), _KERNEL_E6, e6_residual_hilbert_basis()),
         ),
-        ("box-kernel-agreement", _check_box_kernel_agreement),
-        ("a2-identity-suite", _check_a2_identities),
-        *((f"relations-{t.lower()}", lambda t=t: _relation_check(t)) for t in _FIXTURES),
+        ("box-kernel-agreement", lambda: _check_box_kernel_agreement(systems)),
+        ("a2-identity-suite", lambda: _check_a2_identities(systems)),
+        *((f"relations-{t.lower()}", lambda t=t: _relation_check(systems, t)) for t in _FIXTURES),
         (
             "generator-counts-C",
             lambda: _check_generator_counts(
-                "C", range(2, 13), expected_generator_count_C, expected_generators_C
+                systems, "C", range(2, 13), expected_generator_count_C, expected_generators_C
             ),
         ),
         (
             "generator-counts-D",
             lambda: _check_generator_counts(
-                "D", range(4, 13), expected_generator_count_D, expected_generators_D
+                systems, "D", range(4, 13), expected_generator_count_D, expected_generators_D
             ),
         ),
-        ("e7-residual-veronese", _check_e7_veronese),
-        ("class-group-table", lambda: _check_class_groups(include_e7, group_cap)),
-        ("orbit-sum-invariance", _check_orbit_invariance),
-        ("hironaka-partition", _check_hironaka_partition),
-        ("weyl-order-e6", lambda: _check_weyl_order("E6", 51840, group_cap)),
+        ("e7-residual-veronese", lambda: _check_e7_veronese(systems)),
+        ("class-group-table", lambda: _check_class_groups(systems, include_e7, group_cap)),
+        ("orbit-sum-invariance", lambda: _check_orbit_invariance(systems)),
+        ("hironaka-partition", lambda: _check_hironaka_partition(systems)),
+        ("weyl-order-e6", lambda: _check_weyl_order(systems, "E6", 51840, group_cap)),
     ]
     if include_e7:
-        checks.append(("weyl-order-e7", lambda: _check_weyl_order("E7", 2903040, group_cap)))
+        checks.append(("weyl-order-e7", lambda: _check_weyl_order(systems, "E7", 2903040, group_cap)))
     return checks
 
 

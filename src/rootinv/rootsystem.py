@@ -256,6 +256,8 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     expected = n * (sum(highest) + 1)
     if len(coords) != expected:
         raise AssertionError(f"{t.name}: {len(coords)} roots, but rank * (ht(theta) + 1) = {expected}")
+    for table in (coords, gram):  # a RootSystem may be shared, so its arrays stay as built
+        table.setflags(write=False)
 
     return RootSystem(
         rtype=t,

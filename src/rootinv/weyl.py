@@ -10,7 +10,10 @@ weight coordinate of w(rho) is positive.  Group levels, orbits and roots
 all walk one canonical-parent tree, so nothing is deduplicated: every
 w != 1 has the one parent s_i w where i is its first descent, the first
 negative weight coordinate of w(rho); for an orbit point mu, i is the first
-negative coordinate of mu (Casselman, Invent. Math. 116, 1994).
+negative coordinate of mu (Casselman, Invent. Math. 116, 1994).  The
+reflection scan does not walk W itself: it factors W as a product A B of
+parabolic coset walks of about sqrt|W| elements each, and reads the trace
+of every product a b from one matrix product of the two stacks.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_GROUP_CAP = 4_000_000
+_BLOCK = 1 << 18  # traces, or matrix entries, one step of a stacked scan forms at once; bounds its memory
 
 Q = Fraction
 
@@ -126,54 +130,82 @@ def orbit_weight_coords(
     return pts
 
 
-def _group_levels(rs: RootSystem, cap: int) -> Iterator[np.ndarray]:
-    """Yield the elements of W by Coxeter length, as int8 stacks (F, n, n).
+def _group_levels(
+    rs: RootSystem, cap: int, top: np.ndarray | None = None, first: int = 0
+) -> Iterator[np.ndarray]:
+    """Walk the dominant weight top (rho by default) under s_first, ..., s_{n-1}.
 
-    Raises GroupCapExceeded when |W| > cap, before the first level, and
-    AssertionError when the levels do not add up to |W|.  Each element is
-    built once, from its canonical parent (see rootsystem.orbit_tree): w(rho)
-    is carried in weight coordinates, and s_i w is a child of w when
-    (w rho)_i > 0 and coordinates 0..i-1 of s_i w(rho) are all positive.
-    That is decided on the whole level before any row is gathered; s_i then
-    changes only row i of w, and coordinate i and its (at most 3) Cartan
-    neighbours of w(rho).
+    Yields int8 stacks (F, n, n) by Coxeter length: one element w of W_J,
+    J = {first, ..., n - 1}, for each point w(top) of W_J top.  From rho
+    these are all of W_J; from omega_first, the minimal representatives of
+    the cosets of its stabilizer W_J', J' = J - {first} (Humphreys,
+    Reflection Groups and Coxeter Groups, 1990, 1.10 and 1.12).  Raises
+    GroupCapExceeded when |W| > cap, before the first level, and
+    AssertionError when the walk of rho under all of W does not add up to |W|.
 
-    Dtype bounds: a coordinate of w(rho) is <rho, w^-1 alpha_i^vee>, a
-    coroot's height, so at most h - 1 in absolute value, and w(rho) is kept in
-    the smallest signed type that holds h - 1 (int8 while h <= 128: every
-    exceptional type and every classical type up to rank 64).  A matrix entry
-    is a simple-root coordinate of a root, at most the highest root's largest
-    coefficient (6, on E8), so int8.  Intermediates may wrap: the arithmetic
-    is modular, and every result lies in range.
+    Each element is built once, from its canonical parent (see
+    rootsystem.orbit_tree), with w(top) carried in weight coordinates: s_i w
+    is a child of w when (w top)_i > 0 and no coordinate j of s_i w(top) with
+    first <= j < i is negative.  s_i raises each Cartan neighbour j of i by
+    |c_ji| (w top)_i and keeps the other coordinates j != i, so one pass over
+    the level counts the negative coordinates before every i and takes off
+    the earlier neighbours that s_i lifts to >= 0; s_i then changes only row
+    i of w.  Two points of W_J top differ in a coordinate in J (the Cartan
+    matrix of J is invertible), so the coordinates outside J need not steer
+    the walk.
+
+    Dtype bounds: a coordinate of w(top) is <top, w^-1 alpha_i^vee>, at most
+    a coroot's height for rho or top = omega_m, so at most h - 1 in absolute
+    value, and w(top) is kept in the smallest signed type that holds h - 1
+    (int8 while h <= 128: every exceptional type and every classical type
+    up to rank 64), as is the count of negative coordinates, at most
+    n - 1 < h.  A matrix entry is a simple-root coordinate of a root,
+    at most the highest root's largest coefficient (6, on E8), so int8.
+    Intermediates may wrap: the arithmetic is modular, and every result lies
+    in range.
     """
     if rs.weyl_order > cap:
         raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}; raise it with --group-cap")
     n = rs.rank
     cart = rs.cartan.rows
     nbrs = [[j for j in range(n) if j != i and cart[i][j]] for i in range(n)]
+    dtype = _rho_dtype(rs)
+    gens = range(first, n)
+    earlier = [[j - first for j in nbrs[i] if first <= j < i] for i in gens]  # rows of J
+    slots = []  # slot s: the rows i with an s-th neighbour j < i, those j, and -c_ji > 0
+    for s in range(max(map(len, earlier), default=0)):
+        rows = [r for r, e in enumerate(earlier) if len(e) > s]
+        js = [earlier[r][s] for r in rows]
+        slots.append((rows, js, np.array([-cart[first + j][first + r] for r, j in zip(rows, js)], dtype)[:, None]))
     level = np.eye(n, dtype=np.int8)[None, :, :]
-    rho = np.ones((n, 1), dtype=_rho_dtype(rs))  # rho[j, f]: weight coordinate j of w_f(rho)
+    mu = np.array((1,) * n if top is None else top, dtype=dtype)[:, None]  # mu[j, f]: (w_f top)_j
     total = 0
     while level.shape[0]:
         yield level
         total += level.shape[0]
-        mats, rhos = [], []
-        for i in range(n):
-            ri = rho[i]
-            first = ri > 0  # s_i w is one step longer
-            for j in range(i):  # coordinate j of s_i w(rho) is rho_j - c_ji rho_i
-                first &= (rho[j] - cart[j][i] * ri if cart[j][i] else rho[j]) > 0
-            idx = np.flatnonzero(first)
-            new, r = level[idx], rho[:, idx]
-            row, ri = -new[:, i, :], r[i].copy()
+        mu_j = mu[first:]
+        neg = mu_j < 0
+        bad = np.zeros_like(mu_j)  # bad[i, f]: coordinates j < i with (w_f top)_j < 0
+        for r in range(1, len(gens)):
+            np.add(bad[r - 1], neg[r - 1], out=bad[r])
+        for rows, js, c in slots:  # a neighbour becomes mu_j + |c_ji| mu_i in s_i w(top)
+            bad[rows] -= neg[js] & (mu_j[js] + c * mu_j[rows] >= 0)
+        child = (mu_j > 0) & (bad == 0)  # child[i, f]: s_i w_f is a child
+        mats, mus = [level[:0]], [mu[:, :0]]  # so that an empty J ends the walk too
+        for i, kids in zip(gens, child):
+            idx = np.flatnonzero(kids)
+            if not len(idx):
+                continue
+            new, m = level[idx], mu[:, idx]
+            row, mi = -new[:, i, :], m[i]
             for j in nbrs[i]:
                 row -= cart[i][j] * new[:, j, :]
-                r[j] -= cart[j][i] * ri
-            new[:, i, :], r[i] = row, -ri
+                m[j] -= cart[j][i] * mi
+            new[:, i, :], m[i] = row, -mi
             mats.append(new)
-            rhos.append(r)
-        level, rho = np.concatenate(mats), np.concatenate(rhos, axis=1)
-    if total != rs.weyl_order:
+            mus.append(m)
+        level, mu = np.concatenate(mats), np.concatenate(mus, axis=1)
+    if top is None and first == 0 and total != rs.weyl_order:
         raise AssertionError(f"closure found {total} elements, the order formula gives {rs.weyl_order}")
 
 
@@ -204,22 +236,72 @@ def enumerate_group(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> frozenset[W
     return frozenset(w for level in _group_levels(rs, cap) for w in _elements(level))
 
 
+def _parabolic_factors(rs: RootSystem, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """W as a product A B, every w = a b once, as two int8 stacks of about sqrt|W| each.
+
+    Let J_m = {m, ..., n - 1}.  U_m, the walk of omega_m under W_{J_m}, holds
+    one element of each coset of W_{J_(m+1)} in W_{J_m}, so W = U_0 U_1 ...
+    U_{p-1} W_{J_p} for every p (Bourbaki, Lie Groups and Lie Algebras,
+    Ch. IV, 1, Ex. 3).  A is the product of the first p factors, p the first
+    with |A|^2 >= |W|, and B = W_{J_p}, the walk of rho under J_p.  Raises
+    GroupCapExceeded when |W| > cap, before the first walk, and
+    AssertionError unless |A| |B| = |W|.
+    """
+    n, order = rs.rank, rs.weyl_order
+    omega = np.eye(n, dtype=np.int64)  # row m: the weight coordinates of omega_m
+
+    def walk(top, first):
+        return np.concatenate(list(_group_levels(rs, cap, top, first)))
+
+    a, p = walk(omega[0], 0), 1
+    while len(a) ** 2 < order:
+        u = walk(omega[p], p)
+        a = (a[:, None].astype(np.int16) @ u[None]).astype(np.int8).reshape(-1, n, n)
+        p += 1
+    b = walk(None, p)
+    if len(a) * len(b) != order:
+        raise AssertionError(f"the factors hold {len(a)} x {len(b)} elements, the order formula gives {order}")
+    return a, b
+
+
 def reflections(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> tuple[WeylElement, ...]:
-    """All reflections in W, by exhaustive scan (trace prefilter, involution check).
+    """All reflections in W, by exhaustive scan (trace filter, involution check).
 
     A reflection squares to 1 and has trace n - 2.  Conversely, an element of
     finite order with w^2 = 1 has eigenvalues +-1, and trace n - 2 leaves
     exactly one -1, so 1 - w has rank 1.
+
+    W is scanned as the products a b of the two stacks of _parabolic_factors.
+    The trace of every product, tr(a b) = sum_ij a_ij b_ji, is an entry of
+    one matrix product of the flattened stacks, formed _BLOCK traces at a
+    time; only the products with trace n - 2 are multiplied out and squared.
+    That product runs in int16, modulo 2^16, without BLAS threads.  A
+    wrapped trace could only add candidates, and the trace of an involution
+    lies in [-n, n], so trace = n - 2 mod 2^16 and w^2 = 1 still single out
+    the reflections.  (No trace wraps below rank 31: an entry is a
+    simple-root coordinate of a root, at most 6 in absolute value, so
+    |tr| <= 36 n^2.)
     """
     n = rs.rank
+    a, b = _parabolic_factors(rs, cap)
+    step_b = min(len(b), _BLOCK)
+    step_a = max(1, _BLOCK // step_b)
+    flat_a = a.reshape(len(a), n * n).astype(np.int16)
+    flat_b = np.ascontiguousarray(b.transpose(2, 1, 0).reshape(n * n, len(b)), dtype=np.int16)  # column l: b_l^T
     eye = np.eye(n, dtype=np.int64)
     found = []
-    for level in _group_levels(rs, cap):
-        cand = level[np.trace(level, axis1=1, axis2=2) == n - 2].astype(np.int64)
-        square = np.einsum("fij,fjk->fik", cand, cand)
-        found.extend(_elements(cand[(square == eye).all(axis=(1, 2))]))
-    found.sort(key=WeylElement.sort_key)
-    return tuple(found)
+    for i in range(0, len(a), step_a):
+        for j in range(0, len(b), step_b):
+            traces = np.einsum("ak,kb->ab", flat_a[i : i + step_a], flat_b[:, j : j + step_b])
+            ka, kb = np.divmod(np.flatnonzero(traces == n - 2), traces.shape[1])
+            w = a[i + ka].astype(np.int64) @ b[j + kb]
+            found.append(w[(w @ w == eye).all(axis=(1, 2))])
+    return tuple(_elements(_sorted_stack(np.concatenate(found))))
+
+
+def _sorted_stack(mats: np.ndarray) -> np.ndarray:
+    """A stack (F, n, n) in the order of WeylElement.sort_key."""
+    return mats[np.lexsort(mats.reshape(len(mats), -1).T[::-1])]
 
 
 def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
@@ -237,33 +319,55 @@ def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
     c, rem = np.divmod(2 * gb, (b * gb).sum(axis=1, keepdims=True))
     if rem.any():
         raise ValueError(f"{rs.rtype.name}: a coroot pairing <alpha_j, beta^vee> is not an integer")
-    mats = np.eye(rs.rank, dtype=np.int64) - b[:, :, None] * c[:, None, :]
-    flat = mats.reshape(len(mats), -1)
-    return tuple(_elements(mats[np.lexsort(flat.T[::-1])]))  # the order of WeylElement.sort_key
+    return tuple(_elements(_sorted_stack(np.eye(rs.rank, dtype=np.int64) - b[:, :, None] * c[:, None, :])))
+
+
+def _stack(elements: Sequence[WeylElement]) -> np.ndarray:
+    """The int16 stack (F, n, n) of WeylElements of one rank; the inverse of _elements."""
+    n = elements[0].n
+    return np.frombuffer(b"".join(w._data for w in elements), dtype=np.int16).reshape(-1, n, n)
+
+
+def _h1_log2(mats: np.ndarray) -> np.ndarray:
+    """log2 |H^1(<w>, Z^n)| for every involution w of an integer stack (F, n, n).
+
+    H^1(<w>, Z^n) = ker(1+w) / im(1-w).  Every Z[C2]-lattice is a sum of
+    trivial, sign and regular summands (Reiner, Proc. Amer. Math. Soc. 8,
+    1957).  Only a sign summand has H^1 != 0, namely Z/2, and 1 - w has rank
+    0, 1 and 1 on the three over Q but 0, 0 and 1 over F_2.  So log2 |H^1| =
+    rank_Q(1-w) - rank_F2(1-w), where rank_Q(1-w) = (n - tr w) / 2 as w has
+    eigenvalues +-1.  The F_2 ranks come from one elimination on the whole
+    stack: for each column, the first row of 1 - w mod 2 holding a 1 there
+    is added to every row holding one, itself included, so each pivot row
+    leaves the matrix.  The stack is taken _BLOCK entries at a time.
+    Raises NotInvolution unless every w squares to 1.
+    """
+    n = mats.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    step = max(1, _BLOCK // (n * n))
+    out = []
+    for lo in range(0, len(mats), step):
+        w = mats[lo : lo + step].astype(np.int64)
+        if not (w @ w == eye).all():
+            raise NotInvolution("element does not square to the identity")
+        m = (w & 1).astype(bool) ^ eye.astype(bool)  # 1 - w mod 2
+        rank_f2 = np.zeros(len(w), dtype=np.int64)
+        every = np.arange(len(w))
+        for c in range(n):
+            col = m[:, :, c]
+            pivot = m[every, col.argmax(axis=1)]  # row 0 where the column is 0, and then unused
+            rank_f2 += col.any(axis=1)
+            m ^= col[:, :, None] & pivot[:, None, :]
+        out.append((n - np.trace(w, axis1=1, axis2=2)) // 2 - rank_f2)
+    return np.concatenate(out)
 
 
 def h1_cyclic2(w: WeylElement) -> int:
-    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w.
+    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w; see _h1_log2.
 
-    Every Z[C2]-lattice is a sum of trivial, sign and regular summands
-    (Reiner, Proc. Amer. Math. Soc. 8, 1957).  Only a sign summand has
-    H^1 != 0, namely Z/2, and 1 - w has rank 0, 1 and 1 on the three over Q
-    but 0, 0 and 1 over F_2.  So |H^1| = 2^(rank_Q(1-w) - rank_F2(1-w)), where
-    rank_Q(1-w) = (n - tr w) / 2 as w has eigenvalues +-1, and the F_2 rank
-    comes from XOR elimination on the rows of 1 - w mod 2, packed as Python ints.
+    Raises NotInvolution unless w squares to 1.
     """
-    n = w.n
-    a = np.frombuffer(w._data, dtype=np.int16).reshape(n, n).astype(np.int64)
-    if not (a @ a == np.eye(n, dtype=np.int64)).all():
-        raise NotInvolution("element does not square to the identity")
-    basis: list[int] = []  # reduced rows; each clears the top bit of the next ones
-    for i, row in enumerate(a.tolist()):
-        bits = sum(((x + (i == j)) & 1) << j for j, x in enumerate(row))  # row i of 1 - w mod 2
-        for b in basis:
-            bits = min(bits, bits ^ b)
-        if bits:
-            basis.append(bits)
-    return 2 ** ((n - int(np.trace(a))) // 2 - len(basis))
+    return 2 ** int(_h1_log2(_stack([w]))[0])
 
 
 @dataclass(frozen=True)
@@ -297,6 +401,6 @@ def diagonalizable_reflection_subgroup(
         if reflections(rs, cap) != refl:
             raise AssertionError(f"{rs.rtype.name}: the reflection scan disagrees with the root reflections")
         method = "exhaustive-scan"
-    diag = tuple(r for r in refl if h1_cyclic2(r) == 2)
+    diag = tuple(r for r, e in zip(refl, _h1_log2(_stack(refl))) if e == 1)
     return DiagonalizableReflections(len(diag), diag, method)
 

@@ -259,6 +259,19 @@ def test_selfcheck_weyl_order_honours_the_group_cap():
         checks["weyl-order-e6"]()
 
 
+def test_selfcheck_builds_each_type_once(capsys, monkeypatch):
+    built = []
+
+    def counting(t):
+        built.append(t)
+        return build(t)
+
+    monkeypatch.setattr(cli, "build", counting)
+    code, out = run_cli(capsys, "selfcheck")
+    assert code == 0 and out.endswith("selfcheck: 15 passed, 0 failed\n")
+    assert len(built) == len(set(built)) == 39
+
+
 def test_selfcheck_cap_failure_names_the_flag(capsys):
     code, out = run_cli(capsys, "selfcheck", "--group-cap", "10")
     assert code == 1

@@ -220,6 +220,13 @@ def test_root_table_against_bourbaki(fam, rank):
     assert max(positive, key=sum) == HIGHEST_ROOT[fam](rank)
 
 
+def test_root_tables_are_read_only():
+    rs = build("B", 3)
+    for table in (rs.root_coords, rs.gram):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 7
+
+
 def test_build_checks_the_root_count(monkeypatch, capsys):
     walk = rootsystem.orbit_tree
     monkeypatch.setattr(rootsystem, "orbit_tree", lambda cart, top: list(walk(cart, top))[:-1])

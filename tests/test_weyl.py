@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 import sympy
 
+from rootinv import weyl
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from rootinv.intlinalg import IntMatrix, smith_normal_form
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
     _group_levels,
+    _h1_log2,
+    _parabolic_factors,
     _rho_dtype,
     diagonalizable_reflection_subgroup,
     enumerate_group,
@@ -477,3 +480,79 @@ def test_cap_errors_name_their_flag():
         group_order_bfs(build("E", 6), cap=1000)
     with pytest.raises(OrbitCapExceeded, match=r"^orbit larger than 100; raise it with --orbit-cap$"):
         orbit_weight_coords(build("E", 6), (1,) * 6, cap=100)
+
+
+def _reflections_reference(rs) -> tuple[WeylElement, ...]:
+    """Reference: the level-walk scan, a trace filter and an involution check on every level of W."""
+    n = rs.rank
+    eye = np.eye(n, dtype=np.int64)
+    found = []
+    for level in _group_levels(rs, rs.weyl_order):
+        cand = level[np.trace(level, axis1=1, axis2=2) == n - 2].astype(np.int64)
+        square = np.einsum("fij,fjk->fik", cand, cand)
+        found.extend(WeylElement(m) for m in cand[(square == eye).all(axis=(1, 2))].tolist())
+    found.sort(key=WeylElement.sort_key)
+    return tuple(found)
+
+
+_SCANNED = (
+    [f"A{r}" for r in range(1, 10)] + [f"B{n}" for n in range(2, 8)] + [f"C{n}" for n in range(3, 8)]
+    + [f"D{n}" for n in range(4, 8)] + ["E6", "E7", "F4", "G2"]
+)
+
+
+def test_reflection_scan_matches_the_level_walk_reference():
+    systems = _types(*_SCANNED)
+    assert [rs.rtype.name for rs in systems if rs.weyl_order > 4_000_000] == []
+    for rs in systems:
+        assert reflections(rs) == _reflections_reference(rs), rs.rtype.name
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "F4", "G2"])
+def test_parabolic_factors_multiply_out_to_the_group(name):
+    rs = _types(name)[0]
+    a, b = _parabolic_factors(rs, rs.weyl_order)
+    assert a.dtype == b.dtype == np.int8
+    assert len(a) ** 2 >= rs.weyl_order  # the first factor is the larger
+    products = (a[:, None].astype(np.int64) @ b[None]).reshape(-1, rs.rank, rs.rank)
+    elements = {WeylElement(m) for m in products.tolist()}
+    assert len(elements) == len(products) == rs.weyl_order
+    assert elements == enumerate_group(rs)
+
+
+def test_parabolic_factors_check_the_order():
+    rs = build("D", 5)
+    with pytest.raises(AssertionError, match="the order formula gives 3840"):
+        _parabolic_factors(dataclasses.replace(rs, weyl_order=2 * rs.weyl_order), 10**6)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_reflection_scan_does_not_depend_on_the_block(monkeypatch, block):
+    systems = _types("A4", "B4", "D5", "F4", "G2")
+    want = [reflections(rs) for rs in systems]
+    monkeypatch.setattr(weyl, "_BLOCK", block)
+    assert [reflections(rs) for rs in systems] == want
+
+
+def test_stacked_h1_matches_the_per_element_h1(monkeypatch):
+    names = [f"A{r}" for r in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+    names += [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 13)]
+    names += ["E6", "E7", "E8", "F4", "G2"]
+    stacks = [[w.matrix for w in root_reflections(rs)] for rs in _types(*names)]
+    for rs in _types("A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"):
+        stacks.append([w.matrix for w in enumerate_group(rs) if (w * w).is_identity()])
+    assert sum(map(len, stacks)) == 1785 + 562
+    wants = [[h1_cyclic2(WeylElement(m)) for m in mats] for mats in stacks]
+    for block in (weyl._BLOCK, 50):  # 50 entries: one matrix at a time from rank 5 on
+        monkeypatch.setattr(weyl, "_BLOCK", block)
+        for mats, want in zip(stacks, wants):
+            assert [2 ** int(e) for e in _h1_log2(np.array(mats))] == want
+
+
+def test_stacked_h1_rejects_a_stack_with_one_non_involution():
+    rs = build("B", 3)
+    s1, s2 = simple_reflections(rs)[:2]
+    mats = [w.matrix for w in root_reflections(rs)]
+    mats.insert(4, (s1 * s2).matrix)
+    with pytest.raises(NotInvolution):
+        _h1_log2(np.array(mats))

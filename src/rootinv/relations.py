@@ -8,23 +8,28 @@ relation sets are considered equivalent when they induce identical
 connected-component partitions on every factorization fiber up to the
 degree bound.
 
-A degree-d factorization's value is its degree d-1 prefix's value plus one
-generator.  A fiber's components live in one union-find, built once from a
-move index, a dict from each relation side to its opposite sides.  For each
-factorization f the index is either looked up by the prod(f_k + 1)
-sub-vectors c <= f or scanned for the sides c <= f, whichever is shorter.
-Each emitted binomial is then applied to its fiber alone.
+Every factorization up to the bound is one integer key, sum f_k R^(g-1-k)
+with R = bound + 1, so key order is the lexicographic order of exponent
+vectors, and f - c + d is key(f) - key(c) + key(d) whenever its degree is
+at most the bound.  Values are packed the same way, in digits wide enough
+that V - u hits a value's key only when it is that value.  Tuples are
+decoded only when a binomial is emitted.  A fiber's components live in one
+union-find over the edges f -- f - c + d of the relations c - d found so
+far, enumerated the cheaper of two ways, counted in dict lookups: each f's
+prod(f_k + 1) sub-vectors looked up among the relation sides, or each
+relation value u with the factorizations r of V - u, joining c + r and
+d + r.  Each emitted binomial is then applied to its fiber alone.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
-from itertools import product
-from math import comb, prod
-from operator import add, le, mul, sub
+from math import comb
+from operator import eq, mul, sub
 
 from .errors import DimensionMismatch, FiberCapExceeded
 from .intlinalg import IntVec
@@ -109,40 +114,12 @@ def _value(basis: tuple[IntVec, ...], c: tuple[int, ...]) -> IntVec:
     return tuple(sum(map(mul, c, col)) for col in zip(*basis))
 
 
-def _fibers(
-    basis: tuple[IntVec, ...], degree_bound: int, fiber_cap: int
-) -> list[tuple[IntVec, list[tuple[int, ...]]]]:
-    g = len(basis)
-    # the factorizations of degrees 1..bound: sum of comb(d + g - 1, g - 1), by the hockey-stick identity
-    total = comb(degree_bound + g, g) - 1
-    if total > fiber_cap:
-        msg = f"{total} factorizations at bound {degree_bound}, fiber cap is {fiber_cap}"
-        raise FiberCapExceeded(f"{msg}; lower --degree-bound")
-    by_value: dict[IntVec, list[tuple[int, ...]]] = {}
-    # depth first over the multisets of generators, each value its prefix's plus basis[k]:
-    # (lowest generator still to add, degree, factorization, value)
-    stack = [(0, 0, (0,) * g, (0,) * len(basis[0]))]
-    while stack:
-        low, d, c, v = stack.pop()
-        for k in range(low, g):
-            f, w = c[:k] + (c[k] + 1,) + c[k + 1 :], tuple(map(add, v, basis[k]))
-            by_value.setdefault(w, []).append(f)
-            if d + 1 < degree_bound:
-                stack.append((k, d + 1, f, w))
-    out = [(val, sorted(facs)) for val, facs in by_value.items() if len(facs) > 1]
-    out.sort(key=lambda kv: (min(sum(f) for f in kv[1]), sum(kv[0]), kv[0]))
-    return out
-
-
-def _move_index(
-    rels: Iterable[Binomial], moves: dict[IntVec, list[IntVec]] | None = None
-) -> dict[IntVec, list[IntVec]]:
-    """Each relation side -> the opposite sides it may be replaced by (added to moves if given)."""
-    moves = {} if moves is None else moves
-    for rel in rels:
-        moves.setdefault(rel.plus, []).append(rel.minus)
-        moves.setdefault(rel.minus, []).append(rel.plus)
-    return moves
+def _pack(v: Iterable[int], radix: int) -> int:
+    """The digits v, most significant first, as one integer; a digit may be negative."""
+    key = 0
+    for x in v:
+        key = key * radix + x
+    return key
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -152,33 +129,137 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _join(
-    facs: list[tuple[int, ...]], moves: dict[IntVec, list[IntVec]], parent: list[int] | None = None
-) -> list[int]:
-    """Union-find over a sorted fiber, joining f and f - c + d for every move c -> d with c <= f.
+@dataclass
+class _Moves:
+    """A relation set as moves on packed factorizations."""
 
-    f - c + d has the value of f, so it is in the fiber unless its degree is
-    above the bound.  Every root is the smallest index of its set, so the
-    roots name the partition and the components keep their order.  Each f
-    takes the shorter search: its prod(f_k + 1) sub-vectors looked up in the
-    index, or the index's sides tested against f.
+    sides: dict[int, list[tuple[int, int]]] = field(default_factory=dict)  # c -> (d - c, |d| - |c|)
+    values: dict[int, list[tuple[int, int, int, int]]] = field(default_factory=dict)  # u -> (c, d, |c|, |d|)
+
+
+class _Fibers:
+    """Every factorization of degree at most the bound, packed, and grouped by its packed value.
+
+    A factorization f is the key sum f_k R^(g-1-k) with R = bound + 1, and
+    keys[i], degs[i] are the key and degree of the i-th one enumerated
+    (index 0 is the empty factorization).  A value V is packed in balanced
+    digits of a radix above four times its largest coordinate, below a top
+    digit holding its coordinate sum, so key order is (sum(V), V) and a
+    difference V - u of two values hits a value's key only when it equals it.
     """
-    parent = parent or list(range(len(facs)))
-    pos = {f: i for i, f in enumerate(facs)}
-    below = [range(e + 1) for e in range(max(map(max, facs)) + 1)]  # below[e]: 0..e
-    for i, f in enumerate(facs):
-        spans = [below[e] for e in f]
-        if prod(map(len, spans)) <= len(moves):
-            sides = product(*spans)
-        else:
-            sides = (c for c in moves if all(map(le, c, f)))
-        for c in sides:
-            for d in moves.get(c, ()):
-                j = pos.get(tuple(map(add, map(sub, f, c), d)))
-                if j is not None:
-                    ri, rj = _find(parent, i), _find(parent, j)
-                    parent[max(ri, rj)] = min(ri, rj)
-    return parent
+
+    def __init__(self, basis: tuple[IntVec, ...], bound: int, fiber_cap: int) -> None:
+        g = len(basis)
+        # the factorizations of degrees 1..bound: sum of comb(d + g - 1, g - 1), by the hockey-stick identity
+        total = comb(bound + g, g) - 1
+        if total > fiber_cap:
+            msg = f"{total} factorizations at bound {bound}, fiber cap is {fiber_cap}"
+            raise FiberCapExceeded(f"{msg}; lower --degree-bound")
+        self.bound = bound
+        self.powers = [(bound + 1) ** j for j in range(g)]
+        radix = 4 * bound * max((abs(x) for b in basis for x in b), default=0) + 1
+        self.weight = [_pack((sum(b), *b), radix) for b in basis]
+        self.keys, self.degs = [0], [0]
+        self.by_value: dict[int, list[int]] = {0: [0]}
+        # depth first over the multisets of generators: (lowest generator still to add, degree, key, value)
+        stack = [(0, 0, 0, 0)]
+        while stack:
+            low, d, f, v = stack.pop()
+            for k in range(low, g):
+                fk, vk = f + self.powers[g - 1 - k], v + self.weight[k]
+                self.by_value.setdefault(vk, []).append(len(self.keys))
+                self.keys.append(fk)
+                self.degs.append(d + 1)
+                if d + 1 < bound:
+                    stack.append((k, d + 1, fk, vk))
+
+    def listing(self) -> list[tuple[int, list[int]]]:
+        """(value, factorization indices in key order) of each value with two or more, ordered
+        by least degree, then value."""
+        out = []
+        for v, ix in self.by_value.items():
+            facs = ix if v else ix[1:]  # the empty factorization belongs to no fiber
+            if len(facs) > 1:
+                facs.sort(key=self.keys.__getitem__)
+                out.append((min(self.degs[i] for i in facs), v, facs))
+        out.sort(key=lambda t: t[:2])
+        return [(v, facs) for _, v, facs in out]
+
+    def dense(self, f: int) -> tuple[int, ...]:
+        return tuple(f // p % (self.bound + 1) for p in reversed(self.powers))
+
+    def moves(self, rels: Iterable[Binomial], into: _Moves | None = None) -> _Moves:
+        """The relations with both sides within the bound (no other joins two factorizations),
+        added to into if given."""
+        moves = into or _Moves()
+        for rel in rels:
+            dc, dd = sum(rel.plus), sum(rel.minus)
+            if max(dc, dd) > self.bound:
+                continue
+            c, d = _pack(rel.plus, self.bound + 1), _pack(rel.minus, self.bound + 1)
+            moves.sides.setdefault(c, []).append((d - c, dd - dc))
+            moves.sides.setdefault(d, []).append((c - d, dc - dd))
+            moves.values.setdefault(sum(map(mul, rel.plus, self.weight)), []).append((c, d, dc, dd))
+        return moves
+
+    def _digits(self, f: int) -> tuple[int, list[tuple[int, int]]]:
+        """f's number of sub-vectors prod(f_k + 1), and (place, exponent) of each nonzero
+        digit of f, read from the top."""
+        count, out = 1, []
+        while f:
+            p = self.powers[bisect_right(self.powers, f) - 1]
+            e, f = divmod(f, p)
+            count *= e + 1
+            out.append((p, e))
+        return count, out
+
+    def join(self, value: int, fiber: list[int], moves: _Moves, parent: list[int] | None = None) -> list[int]:
+        """Union-find over the fiber of value, joining f and f - c + d for every move c -> d with c <= f.
+
+        Every root is the smallest index of its set, so the roots name the
+        partition and the components keep their order.  The edges come by
+        sub-vectors or by relation values, whichever takes fewer lookups, and
+        stop once the fiber is one component.
+        """
+        keys, degs, bound = self.keys, self.degs, self.bound
+        parent = parent or list(range(len(fiber)))
+        pos = {keys[i]: n for n, i in enumerate(fiber)}
+        # the sub-vectors are counted only until they outnumber the relation values
+        budget, spent, digits = len(moves.values), 0, []
+        for i in fiber:
+            if spent >= budget:
+                break
+            count, ds = self._digits(keys[i])
+            spent += count
+            digits.append(ds)
+
+        def by_sub_vectors():
+            for n, i in enumerate(fiber):
+                f, room, subs = keys[i], bound - degs[i], [0]
+                for p, e in digits[n]:
+                    subs += [s + j for j in range(p, (e + 1) * p, p) for s in subs]
+                for away in filter(None, map(moves.sides.get, subs)):
+                    for step, rise in away:
+                        if rise <= room and (m := pos.get(f + step)) is not None:
+                            yield n, m
+
+        def by_values():
+            for u, rels in moves.values.items():
+                for r in self.by_value.get(value - u, ()):
+                    fr, room = keys[r], bound - degs[r]
+                    for c, d, dc, dd in rels:
+                        if dc <= room and dd <= room and (m := pos.get(fr + d)) is not None:
+                            yield pos[fr + c], m
+
+        roots = sum(map(eq, parent, range(len(parent))))
+        for a, b in by_sub_vectors() if spent < budget else by_values():
+            if roots == 1:
+                break
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+                roots -= 1
+        return parent
 
 
 def relations_bounded(
@@ -187,21 +268,21 @@ def relations_bounded(
     fiber_cap: int = DEFAULT_FIBER_CAP,
 ) -> tuple[Binomial, ...]:
     """Deterministic generating set for all fiber identifications up to the bound."""
-    basis = graded_lex_sorted(basis)
+    fibers = _Fibers(graded_lex_sorted(basis), degree_bound, fiber_cap)
     rels: list[Binomial] = []
-    moves: dict[IntVec, list[IntVec]] = {}
-    for _, facs in _fibers(basis, degree_bound, fiber_cap):
-        parent = _join(facs, moves)
-        u = facs[0]
-        for i in range(1, len(facs)):
+    moves = _Moves()
+    for value, fiber in fibers.listing():
+        parent = fibers.join(value, fiber, moves)
+        for i in range(1, len(fiber)):
             if _find(parent, i) == 0:
                 continue
-            # join the two components with the smallest factorizations, u and facs[i]
-            w = tuple(map(min, u, facs[i]))
-            rel = Binomial(tuple(map(sub, u, w)), tuple(map(sub, facs[i], w))).canonical()
+            # join the two components with the smallest factorizations, u and fiber[i]
+            u, v = fibers.dense(fibers.keys[fiber[0]]), fibers.dense(fibers.keys[fiber[i]])
+            w = tuple(map(min, u, v))
+            rel = Binomial(tuple(map(sub, u, w)), tuple(map(sub, v, w))).canonical()
             rels.append(rel)
-            _join(facs, _move_index([rel]), parent)
-            _move_index([rel], moves)
+            fibers.join(value, fiber, fibers.moves([rel]), parent)
+            fibers.moves([rel], moves)
     return tuple(sorted(rels, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 
@@ -213,11 +294,11 @@ def relations_equivalent(
     fiber_cap: int = DEFAULT_FIBER_CAP,
 ) -> bool:
     """Same fiber partitions up to the bound."""
-    basis = graded_lex_sorted(basis)
-    m1, m2 = _move_index(first), _move_index(second)
-    for _, facs in _fibers(basis, degree_bound, fiber_cap):
-        p1, p2 = _join(facs, m1), _join(facs, m2)
-        if any(_find(p1, i) != _find(p2, i) for i in range(len(facs))):
+    fibers = _Fibers(graded_lex_sorted(basis), degree_bound, fiber_cap)
+    m1, m2 = fibers.moves(first), fibers.moves(second)
+    for value, fiber in fibers.listing():
+        p1, p2 = fibers.join(value, fiber, m1), fibers.join(value, fiber, m2)
+        if any(_find(p1, i) != _find(p2, i) for i in range(len(fiber))):
             return False
     return True
 

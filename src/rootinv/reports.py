@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from math import prod
 from typing import Callable
 
 from .classgroup import class_group
 from .errors import InvalidRank
-from .intlinalg import IntVec
+from .intlinalg import IntVec, smith_normal_form
 from .laurent import LaurentPoly, alpha_ring, orbit_sum_weight_coords
 from .monoids import (
     DEFAULT_BOX_CAP,
@@ -140,6 +141,12 @@ def report(rs: RootSystem, box_cap: int = DEFAULT_BOX_CAP) -> InvariantReport:
     z = monoid.generator_orders()
     if z != rs.weight_orders:
         raise AssertionError("congruence orders disagree with weight orders mod the root lattice")
+    # a lattice of index |P/Q| that holds the simple roots (the Cartan columns, in weight
+    # coordinates) is the root lattice
+    if monoid.lattice_index() != prod(smith_normal_form(rs.cartan).diagonal):
+        raise AssertionError("the congruence lattice's index differs from |P/Q|")
+    if not all(c.holds(col) for c in monoid.congruences for col in zip(*rs.cartan.rows)):
+        raise AssertionError("a simple root fails a congruence of the family monoid")
     hb = hilbert_basis_box(monoid, box_cap)
     primaries = graded_lex_sorted(
         tuple(zi if j == i else 0 for j in range(monoid.dim)) for i, zi in enumerate(z)

@@ -12,7 +12,7 @@ import pytest
 
 from rootinv import cli
 from rootinv.errors import GroupCapExceeded
-from rootinv.monoids import graded_lex_sorted, hilbert_basis_box
+from rootinv.monoids import Congruence, CongruenceMonoid, graded_lex_sorted, hilbert_basis_box
 from rootinv.reports import report
 from rootinv.rootsystem import build
 
@@ -99,6 +99,10 @@ def test_expansion_bytes_are_pinned(capsys, argv, digest):
         (("invariants", "A", "5", "--relations", "--degree-bound", "4"), "de45d3ac1dd812881da64aaf49bb5f8c2e2a074f6b74b1c80cbdea6b64988362"),
         # 14 generators, 79 binomials up to degree 5
         (("invariants", "A", "4", "--relations", "--degree-bound", "5"), "18f384a429812f1bf047bd68ac76ac19b890ca4a7697bbfb9403fffc58230d52"),
+        # 14 generators, 84 binomials up to degree 6
+        (("invariants", "A", "4", "--relations", "--degree-bound", "6"), "1b6ac1b604990806edb8773beeb27d58804b9ff53cb72098b8d113e780c58b8f"),
+        # 12 generators, the 35 binomials of bound 3, equivalent to the fixture
+        (("invariants", "E", "6", "--relations", "--degree-bound", "4"), "cd821a9b3f77f82125d880527e144dc23b9af27c39b38902cc1d92dca93662d6"),
     ],
 )
 def test_relations_bytes_are_pinned(capsys, argv, digest):
@@ -178,6 +182,31 @@ def test_value_error_in_the_mathematics_is_an_internal_error(capsys, monkeypatch
     assert code == 1
     err = capsys.readouterr().err
     assert err == "internal error: reflection does not preserve the root lattice\n"
+
+
+@pytest.mark.parametrize(
+    "target,wrong,message",
+    [
+        # orders (3, 3) as for A2, but the simple root (2, -1) fails k1 + k2 = 0 mod 3
+        (
+            "rootinv.reports.family_monoid",
+            lambda rs: CongruenceMonoid(2, (Congruence((1, 1), 3),)),
+            "a simple root fails a congruence of the family monoid",
+        ),
+        (
+            "rootinv.monoids.CongruenceMonoid.lattice_index",
+            lambda m: 1,
+            "the congruence lattice's index differs from |P/Q|",
+        ),
+    ],
+)
+def test_a_wrong_family_monoid_is_a_verification_failure(capsys, monkeypatch, target, wrong, message):
+    monkeypatch.setattr(target, wrong)
+    code = cli.main(["invariants", "A", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
 
 
 def test_hilbert_monoid_file(capsys, tmp_path):

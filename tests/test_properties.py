@@ -10,7 +10,7 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rootinv import cli, relations
@@ -26,7 +26,8 @@ from rootinv.monoids import (
     hilbert_basis_kernel,
     parse_instance,
 )
-from rootinv.relations import Binomial, parse_binomial, relations_bounded, verify_relation
+from rootinv.relations import Binomial, parse_binomial, relations_bounded, relations_equivalent, verify_relation
+from rootinv.reports import report_A
 from rootinv.weyl import WeylElement
 
 # Fragments of the instance format, so that random text often comes close to an instance.
@@ -246,9 +247,9 @@ def test_frontier_cap_is_the_widest_degree():
 
 # Relation fibers: the move index against the all-pairs loop it replaced.
 @st.composite
-def fibered_bases(draw) -> tuple[tuple, int]:
+def fibered_bases(draw, low: int = 0) -> tuple[tuple, int]:
     dim = draw(st.integers(1, 3))
-    vector = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    vector = st.tuples(*[st.integers(low, 3)] * dim).filter(any)
     basis = draw(st.lists(vector, min_size=2, max_size=6, unique=True))
     return graded_lex_sorted(basis), draw(st.integers(1, 4))
 
@@ -304,8 +305,8 @@ def _relations_reference(basis: tuple, bound: int) -> tuple:
     return tuple(sorted(rels, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 
-class _CountingMoves(dict):
-    """A move index that counts its lookups."""
+class _CountingDict(dict):
+    """A dict that counts its lookups."""
 
     lookups = 0
 
@@ -314,52 +315,136 @@ class _CountingMoves(dict):
         return super().get(key, default)
 
 
-def _check_join(facs: list, rels: list) -> None:
-    """_join's partition is the reference's, its roots are the smallest members, and each
-    factorization costs at most min(its sub-vector count, the index size) lookups."""
-    moves = _CountingMoves(relations._move_index(rels))
-    parent = relations._join(facs, moves)
-    got: dict = {}
-    for i, f in enumerate(facs):
-        got.setdefault(relations._find(parent, i), []).append(f)
-    assert sorted(got.values()) == _components_reference(facs, rels)
-    assert all(comp[0] == facs[root] for root, comp in got.items())
-    assert moves.lookups <= sum(min(prod(e + 1 for e in f), len(moves)) for f in facs)
+def _dense_listing(fibers) -> list:
+    """The factorizations of each fiber of the packed listing, decoded to tuples."""
+    return [[fibers.dense(fibers.keys[i]) for i in fiber] for _, fiber in fibers.listing()]
+
+
+def _drawn_joinings(data, listing: list, most: int) -> list:
+    """Up to most binomials, each joining two factorizations of a fiber."""
+    rels = []
+    for _ in range(data.draw(st.integers(0, most))):
+        facs = data.draw(st.sampled_from(listing))
+        i, j = data.draw(st.lists(st.integers(0, len(facs) - 1), min_size=2, max_size=2, unique=True))
+        rels.append(_joining(facs[i], facs[j]))
+    return rels
+
+
+def _check_join(fibers, rels: list) -> None:
+    """The join's partition is the reference's, its roots are the smallest members, and each
+    fiber costs at most the smaller of its two enumerations in lookups: the sub-vectors of its
+    factorizations, or the relation values."""
+    moves = fibers.moves(rels)
+    moves.sides = _CountingDict(moves.sides)
+    fibers.by_value = _CountingDict(fibers.by_value)
+    for value, fiber in fibers.listing():
+        facs = [fibers.dense(fibers.keys[i]) for i in fiber]
+        before = moves.sides.lookups + fibers.by_value.lookups
+        parent = fibers.join(value, fiber, moves)
+        lookups = moves.sides.lookups + fibers.by_value.lookups - before
+        got: dict = {}
+        for i, f in enumerate(facs):
+            got.setdefault(relations._find(parent, i), []).append(f)
+        assert sorted(got.values()) == _components_reference(facs, rels)
+        assert all(comp[0] == facs[root] for root, comp in got.items())
+        assert lookups <= min(sum(prod(e + 1 for e in f) for f in facs), len(moves.values))
 
 
 @settings(deadline=None, max_examples=60)
 @given(fibered_bases(), st.data())
 def test_move_index_partition_matches_the_all_pairs_reference(case, data):
     basis, bound = case
-    fibers = relations._fibers(basis, bound, relations.DEFAULT_FIBER_CAP)
-    assume(fibers)
-    rels = []
-    for _ in range(data.draw(st.integers(0, 6))):
-        _, facs = data.draw(st.sampled_from(fibers))
-        i, j = data.draw(st.lists(st.integers(0, len(facs) - 1), min_size=2, max_size=2, unique=True))
-        rels.append(_joining(facs[i], facs[j]))
-    for _, facs in fibers:
-        _check_join(facs, rels)
+    fibers = relations._Fibers(basis, bound, relations.DEFAULT_FIBER_CAP)
+    listing = _dense_listing(fibers)
+    assume(listing)
+    _check_join(fibers, _drawn_joinings(data, listing, 6))
 
 
 def test_move_index_on_few_generators_at_a_high_bound():
     # A2: 3 generators and 1 relation; a degree-30 factorization has up to 11^3 sub-vectors,
-    # while the index has 2 sides
+    # while the index has 1 relation value
     basis = graded_lex_sorted(((1, 1), (0, 3), (3, 0)))
     rels = relations_bounded(basis, 30)
     assert rels == _relations_reference(basis, 30)
-    for _, facs in relations._fibers(basis, 30, relations.DEFAULT_FIBER_CAP):
-        _check_join(facs, list(rels))
+    _check_join(relations._Fibers(basis, 30, relations.DEFAULT_FIBER_CAP), list(rels))
+
+
+def test_move_index_on_many_relation_values_at_a_low_bound():
+    # A4: 14 generators and 57 binomials up to degree 3; a factorization has at most 8
+    # sub-vectors, so the small fibers are cheaper by sub-vectors than by relation values
+    basis = report_A(5).hilbert_basis.elements
+    rels = relations_bounded(basis, 3)
+    assert len({relations._value(basis, r.plus) for r in rels}) > 16
+    _check_join(relations._Fibers(basis, 3, relations.DEFAULT_FIBER_CAP), list(rels))
 
 
 @settings(deadline=None, max_examples=60)
 @given(fibered_bases())
 def test_relations_bounded_matches_the_all_pairs_regeneration(case):
     basis, bound = case
-    assert relations._fibers(basis, bound, relations.DEFAULT_FIBER_CAP) == _fibers_reference(basis, bound)
+    fibers = relations._Fibers(basis, bound, relations.DEFAULT_FIBER_CAP)
+    listing = _dense_listing(fibers)
+    assert [(relations._value(basis, facs[0]), facs) for facs in listing] == _fibers_reference(basis, bound)
     rels = relations_bounded(basis, bound)
     assert all(verify_relation(basis, r) for r in rels)
     assert rels == _relations_reference(basis, bound)
+
+
+@settings(deadline=None, max_examples=60)
+@given(fibered_bases(low=-3))
+# a value radix of bound * max|entry| + 1, a quarter of the one used, gets this basis wrong
+@example((graded_lex_sorted(((-3, 3, 3), (-2, 2, 4), (1, 4, -1), (2, 4, -2), (4, -2, 2))), 3))
+def test_relations_bounded_matches_the_all_pairs_regeneration_on_signed_bases(case):
+    # negative entries: value digits are balanced, and a move past the bound may carry into a
+    # neighbouring digit of a packed factorization
+    basis, bound = case
+    try:
+        want = _relations_reference(basis, bound)
+    except ValueError:  # a fiber holds u <= v: the monoid is not pointed
+        with pytest.raises(ValueError):
+            relations_bounded(basis, bound)
+        return
+    listing = _dense_listing(relations._Fibers(basis, bound, relations.DEFAULT_FIBER_CAP))
+    assert [(relations._value(basis, facs[0]), facs) for facs in listing] == _fibers_reference(basis, bound)
+    assert relations_bounded(basis, bound) == want
+
+
+def _same_partitions_reference(first: list, second: list, basis: tuple, bound: int) -> bool:
+    return all(
+        _components_reference(facs, first) == _components_reference(facs, second)
+        for _, facs in _fibers_reference(basis, bound)
+    )
+
+
+@settings(deadline=None, max_examples=60)
+@given(fibered_bases(), st.data())
+def test_relations_equivalent_matches_the_all_pairs_reference(case, data):
+    basis, bound = case
+    listing = [facs for _, facs in _fibers_reference(basis, bound)]
+    assume(listing)
+    first = list(relations_bounded(basis, bound)) if data.draw(st.booleans()) else _drawn_joinings(data, listing, 5)
+    if first and data.draw(st.booleans()):  # one binomial dropped
+        second = first[:]
+        del second[data.draw(st.integers(0, len(first) - 1))]
+    else:
+        second = _drawn_joinings(data, listing, 5)
+    want = _same_partitions_reference(first, second, basis, bound)
+    assert relations_equivalent(tuple(first), tuple(second), basis, bound) == want
+
+
+def test_relations_equivalent_sees_a_single_split_fiber():
+    # A3 at bound 4: some regenerated binomial, dropped, splits exactly one fiber
+    basis = report_A(4).hilbert_basis.elements
+    rels = list(relations_bounded(basis, 4))
+    fibers = [facs for _, facs in _fibers_reference(basis, 4)]
+    found = 0
+    for k in range(len(rels)):
+        dropped = rels[:k] + rels[k + 1 :]
+        split = sum(_components_reference(facs, dropped) != _components_reference(facs, rels) for facs in fibers)
+        if split == 1:
+            found += 1
+            assert not relations_equivalent(tuple(dropped), tuple(rels), basis, 4)
+    assert found
 
 
 # Laurent polynomials against a dict-of-tuples reference.  Exponents beyond +-2^63 and

@@ -2,7 +2,8 @@
 relation regeneration, class groups, and a replayable self-check.
 
 All commands print a JSON document with a schema_version field and fully
-canonical ordering, so identical invocations produce identical bytes.
+canonical ordering, so identical invocations produce identical bytes; the
+document is written as it is made (see _emit).
 Exit status: 0 success, 1 verification failure or internal error, 2 usage
 error.
 """
@@ -14,6 +15,7 @@ import functools
 import json
 import sys
 import warnings
+from collections.abc import Iterator
 
 from .classgroup import class_group, class_group_cross_check, weight_quotient
 from .errors import (
@@ -51,6 +53,7 @@ from .rootsystem import RootSystemType, build
 from .weyl import DEFAULT_GROUP_CAP, DEFAULT_ORBIT_CAP, group_order_bfs
 
 SCHEMA_VERSION = "1"
+_CELLS = 1 << 12  # Hironaka cells written by one json.dumps
 
 # Shipped relation fixtures, keyed by type name.
 _FIXTURES = {"A2": "a2", "A3": "a3_magma", "E6": "e6_magma"}
@@ -60,9 +63,49 @@ def _document(command: str, payload: dict) -> dict:
     return {"schema_version": SCHEMA_VERSION, "command": command, "payload": payload}
 
 
+class _Block(list):
+    """Consecutive items of a streamed array, written by one json.dumps."""
+
+
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2))
-    sys.stdout.write("\n")  # not appended to the document, which would copy it
+    """Write doc and a newline to stdout as json.dumps(doc, sort_keys=True, indent=2) would, as it is made.
+
+    A dict is written key by key in sorted order; a callable value is called
+    when its key's turn comes, and a None result drops the key.  An iterator
+    is an array whose items are written as they arrive (a _Block item stands
+    for its items).  Every other value is one json.dumps, re-indented to its depth.
+    """
+    write = sys.stdout.write
+
+    def put(v, pad: str) -> None:
+        if isinstance(v, dict) and v:
+            sep = "{"
+            for k in sorted(v):
+                item = v[k]
+                if callable(item) and (item := item()) is None:
+                    continue
+                write(f"{sep}{pad}  {json.dumps(k)}: ")
+                put(item, pad + "  ")
+                sep = ","
+            write("{}" if sep == "{" else pad + "}")
+        elif isinstance(v, Iterator):
+            sep = "["
+            for item in v:
+                if not isinstance(item, _Block):
+                    write(sep + pad + "  ")
+                    put(item, pad + "  ")
+                elif item:  # '[' pad '  ' items ... pad ']', written without its brackets
+                    write(sep + json.dumps(item, sort_keys=True, indent=2)[1:-2].replace("\n", pad))
+                else:
+                    continue
+                sep = ","
+                del item  # dropped before the next item is made
+            write("[]" if sep == "[" else pad + "]")
+        else:
+            write(json.dumps(v, sort_keys=True, indent=2).replace("\n", pad))
+
+    put(doc, "\n")
+    write("\n")
 
 
 def _parse_type(args: argparse.Namespace) -> RootSystemType:
@@ -134,27 +177,36 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if rep.residual is not None:
         payload["residual"] = _monoid_payload(rep.residual)
     if args.hironaka:
-        payload["hironaka_cells"] = [list(c) for c in rep.cells]
-        payload["hironaka_cell_count"] = len(rep.cells)
+        cells = rep.cells  # built before the first byte, so that the box cap fails with no output
+        payload["hironaka_cells"] = (_Block(cells[i : i + _CELLS]) for i in range(0, len(cells), _CELLS))
+        payload["hironaka_cell_count"] = len(cells)
     if args.relations:
         payload["relations"] = _relations_block(t.name, rep, args.degree_bound)
         fx = payload["relations"].get("fixture")
         failed = fx is not None and not (fx["equivalent"] and fx["all_relations_verify"])
     if args.expand:
-        expansions = []
         truncated = False
-        for g in rep.generators:
+
+        def expansions():
+            nonlocal truncated
+            sums: dict = {}  # each fundamental orbit sum o(w_i) is computed once
             try:
-                p = omega_expand(rs, g.coords, args.orbit_cap)
+                for g in rep.generators:
+                    yield _expansion(rs, g, args.orbit_cap, sums)
             except OrbitCapExceeded:
                 truncated = True
-                break
-            expansions.append({"name": g.name, "laurent": render(p), "terms": p.nterms})
-        payload["expansion"] = expansions
-        if truncated:
-            payload["expansion_truncated"] = True
+
+        payload["expansion"] = expansions()
+        # written after the expansions, which come first in key order
+        payload["expansion_truncated"] = lambda: truncated or None
     _emit(_document(f"invariants {t.name}", payload))
     return 1 if failed else 0
+
+
+def _expansion(rs, g, orbit_cap: int, sums: dict) -> dict:
+    """One generator's expansion entry; the polynomial itself is dropped on return."""
+    p = omega_expand(rs, g.coords, orbit_cap, sums)
+    return {"name": g.name, "laurent": render(p), "terms": p.nterms}
 
 
 def _relations_block(type_name: str, rep: InvariantReport, degree_bound: int | None) -> dict:

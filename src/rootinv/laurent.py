@@ -30,6 +30,7 @@ Exponent = tuple[int, ...]
 
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 _BLOCK = 1 << 18  # term pairs a product forms at once; bounds its working memory
+_ROWS = 1 << 12  # terms render formats at once; bounds its working memory
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,10 @@ class _Radix:
         return (exps.astype(self.dtype) - self._row(lo)) @ self._row(self.strides)
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
-        return keys[:, None] // self._row(self.strides) % self._row(self.widths) + self._row(self.lo)
+        out = keys[:, None] // self._row(self.strides)
+        out %= self._row(self.widths)
+        out += self._row(self.lo)
+        return out
 
 
 def _combine(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,10 +240,12 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers of polynomials are not defined here")
-        # One factor at a time: for sparse factors, k products with the short base
+        if k == 0:
+            return LaurentPoly.constant(self.ring, 1)
+        # One factor at a time: for sparse factors, k - 1 products with the short base
         # form far fewer term pairs than squaring the long intermediate powers.
-        result = LaurentPoly.constant(self.ring, 1)
-        for _ in range(k):
+        result = self
+        for _ in range(k - 1):
             result = result * self
         return result
 
@@ -346,11 +352,18 @@ def render(p: LaurentPoly, var: str = "x") -> str:
     if p.is_zero():
         return "0"
     s = p.ring.scale
-    nonzero = p._exps != 0
+    return " + ".join(
+        _render_rows(p._exps[i : i + _ROWS], p._coeffs[i : i + _ROWS], s, var) for i in range(0, p.nterms, _ROWS)
+    )
+
+
+def _render_rows(exps: np.ndarray, coeffs: np.ndarray, s: int, var: str) -> str:
+    """The terms (exps, coeffs) at exponent scale s, joined by ' + '."""
+    nonzero = exps != 0
     first = nonzero.argmax(axis=1)  # the first factor of a monomial has no leading '*'
-    bits = _lookup(p._coeffs, lambda c: "" if c == 1 else f"{c}*")
-    for j, column in enumerate(p._exps.T):
+    bits = _lookup(coeffs, lambda c: "" if c == 1 else f"{c}*")
+    for j, column in enumerate(exps.T):
         np.add(bits, _lookup(column, lambda e: _power(j + 1, e, s, var), first == j), out=bits)
     const = np.flatnonzero(~nonzero.any(axis=1))
-    bits[const] = [str(c) for c in p._coeffs[const].tolist()]
+    bits[const] = [str(c) for c in coeffs[const].tolist()]
     return " + ".join(bits.tolist())

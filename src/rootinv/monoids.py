@@ -165,7 +165,7 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
     long = [k for k, s in enumerate(sizes) if s > 1]
     if len(long) > _MAX_AXES:
         raise BoxCapExceeded(f"{what} has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
-    mask = np.ones(tuple(sizes[k] for k in long), dtype=bool)
+    mask = None  # the first congruence's zero test is the mask, so no all-true mask is held beside it
     for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
         mod = c.modulus // g
@@ -175,8 +175,9 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
             a, s = c.coeffs[k] // g, sizes[k]
             res = np.add.outer(res, np.fromiter((a * x % mod for x in range(s)), dtype, s))
             np.remainder(res, mod, out=res)
-        mask &= res == 0
-    return mask
+        hit = np.asarray(res == 0)  # an array also when no axis is long
+        mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
+    return np.ones(tuple(sizes[k] for k in long), dtype=bool) if mask is None else mask
 
 
 def _box_points(mask: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
@@ -207,9 +208,10 @@ def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> Hi
     below = mask.copy()  # below[v]: some nonzero monoid point a <= v
     for axis in range(mask.ndim):
         np.logical_or.accumulate(below, axis=axis, out=below)
+    clear = np.logical_not(below, out=below)  # clear[v]: no nonzero monoid point a <= v
     for axis in range(mask.ndim):
         head = (slice(None),) * axis
-        mask[head + (slice(1, None),)] &= ~below[head + (slice(None, -1),)]
+        mask[head + (slice(1, None),)] &= clear[head + (slice(None, -1),)]
     gens = [tuple(zi if j == i else 0 for j in range(m.dim)) for i, zi in enumerate(z)]
     return HilbertBasis(graded_lex_sorted(gens + _box_points(mask, z).tolist()))
 

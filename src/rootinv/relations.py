@@ -294,6 +294,8 @@ def relations_equivalent(
     fiber_cap: int = DEFAULT_FIBER_CAP,
 ) -> bool:
     """Same fiber partitions up to the bound."""
+    if any(len(r.plus) != len(basis) for r in (*first, *second)):
+        raise DimensionMismatch("relation arity != basis size")
     fibers = _Fibers(graded_lex_sorted(basis), degree_bound, fiber_cap)
     m1, m2 = fibers.moves(first), fibers.moves(second)
     for value, fiber in fibers.listing():

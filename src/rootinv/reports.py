@@ -314,12 +314,22 @@ def veronese_generators(d: int) -> tuple[IntVec, ...]:
     return graded_lex_sorted(squares + products)
 
 
-def omega_expand(rs: RootSystem, m: IntVec, orbit_cap: int = DEFAULT_ORBIT_CAP) -> LaurentPoly:
-    """Laurent expansion of the generator with weight-coordinate vector m."""
+def omega_expand(
+    rs: RootSystem, m: IntVec, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit_sums: dict[int, LaurentPoly] | None = None
+) -> LaurentPoly:
+    """Laurent expansion of the generator with weight-coordinate vector m.
+
+    orbit_sums, if given, holds the fundamental orbit sums o(w_i) by i: a sum
+    missing from it is computed and added, so calls that share it compute each once.
+    """
     ring = alpha_ring(rs)
-    out = LaurentPoly.constant(ring, 1)
+    sums = {} if orbit_sums is None else orbit_sums
+    out = None
     for i, e in enumerate(m):
         if e:
-            unit = tuple(1 if j == i else 0 for j in range(rs.rank))
-            out = out * (orbit_sum_weight_coords(rs, unit, ring, orbit_cap) ** e)
-    return out
+            if i not in sums:
+                unit = tuple(1 if j == i else 0 for j in range(rs.rank))
+                sums[i] = orbit_sum_weight_coords(rs, unit, ring, orbit_cap)
+            power = sums[i] ** e
+            out = power if out is None else out * power
+    return LaurentPoly.constant(ring, 1) if out is None else out

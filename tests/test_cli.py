@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stdout
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootinv import cli
 from rootinv.errors import GroupCapExceeded
@@ -240,9 +243,12 @@ def test_classgroup_fallback(capsys):
 
 
 def test_invariants_honours_box_cap(capsys):
-    code = cli.main(["invariants", "A", "3", "--box-cap", "3"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: box has 32 points, box cap is 3; raise it with --box-cap\n"
+    # the streamed arrays too: the cap fails before the first byte
+    for flags in ((), ("--hironaka",), ("--expand",), ("--hironaka", "--expand", "--relations")):
+        code = cli.main(["invariants", "A", "3", "--box-cap", "3", *flags])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: box has 32 points, box cap is 3; raise it with --box-cap\n"
 
 
 def test_box_scan_of_32_axes_runs(capsys):
@@ -361,3 +367,112 @@ def test_relation_generators_are_the_residual_basis(name):
     assert rep.residual is not None
     want = graded_lex_sorted(hilbert_basis_box(rep.residual))
     assert cli._relations_block(name, rep, 1)["generators"] == [list(v) for v in want]
+
+
+# The streamed writer against json.dumps.  A drawn document comes as (lazy, plain): the lazy
+# one holds iterators (of items and of _Block runs) and callables where the plain one holds
+# lists and values, and an "expansion" array whose exhaustion decides "expansion_truncated".
+_TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é", "😀", "a\u2028b"]))
+_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT).map(lambda v: (v, v))
+
+
+def _lazy_array(pairs, runs):
+    """An iterator of the lazy items, with the runs chosen by runs (sizes; 0 is one lazy item) as _Blocks."""
+    out, i = [], 0
+    for size in runs:
+        if size == 0 and i < len(pairs):
+            out.append(pairs[i][0])
+            i += 1
+        elif size:
+            out.append(cli._Block(plain for _, plain in pairs[i : i + size]))
+            i += size
+    out += [lazy for lazy, _ in pairs[i:]]
+    return iter(out)
+
+
+@st.composite
+def _arrays(draw, children):
+    pairs = draw(st.lists(children, max_size=5))
+    plain = [v for _, v in pairs]
+    how = draw(st.sampled_from(("list", "iter")))
+    if how == "list":
+        return plain, plain
+    return _lazy_array(pairs, draw(st.lists(st.integers(0, 3), max_size=6))), plain
+
+
+@st.composite
+def _objects(draw, children):
+    pairs = draw(st.dictionaries(_TEXT, children, max_size=5))
+    lazy = {}
+    for k, (v, _) in pairs.items():
+        # a callable stands for its value; None results drop the key, so null values stay eager
+        lazy[k] = (lambda v=v: v) if v is not None and draw(st.booleans()) else v
+    return lazy, {k: v for k, (_, v) in pairs.items()}
+
+
+_DOCS = st.recursive(_LEAF, lambda children: st.one_of(_arrays(children), _objects(children)), max_leaves=20)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_DOCS, st.lists(_DOCS, max_size=3), st.booleans())
+def test_streamed_document_equals_json_dumps(doc, entries, truncate):
+    lazy, plain = doc
+    truncated = False
+
+    def expansion():
+        nonlocal truncated
+        for entry, _ in entries:
+            yield entry
+        truncated = truncate  # known only once the array is written
+
+    outer = {"payload": lazy, "expansion": expansion(), "expansion_truncated": lambda: truncated or None}
+    want = {"payload": plain, "expansion": [v for _, v in entries]}
+    if truncate:
+        want["expansion_truncated"] = True
+    with redirect_stdout(io.StringIO()) as out:
+        cli._emit(outer)
+    assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+class _Writes(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [(("invariants", "C", "7", "--expand"), "expansion"), (("invariants", "A", "7", "--hironaka"), "hironaka_cells")],
+)
+def test_the_large_arrays_are_written_in_pieces(monkeypatch, argv, key):
+    stdout = _Writes()
+    monkeypatch.setattr("sys.stdout", stdout)
+    assert cli.main(list(argv)) == 0
+    text = stdout.getvalue()
+    assert len(json.loads(text)["payload"][key]) > 1
+    assert max(stdout.sizes) <= len(text) // 2
+
+
+def test_a_failure_after_the_first_expansion_exits_1_with_its_message(capsys, monkeypatch):
+    expand, made = cli.omega_expand, []
+
+    def failing(*args):
+        if made:
+            raise ValueError("the second expansion failed")
+        made.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(cli, "omega_expand", failing)
+    code = cli.main(["invariants", "A", "2", "--expand"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "internal error: the second expansion failed\n"
+    assert captured.out.count('"laurent": ') == 1  # the first expansion was written
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(captured.out)

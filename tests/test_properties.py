@@ -7,13 +7,14 @@ import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rootinv import cli, relations
+from rootinv import cli, laurent, relations
 from rootinv.errors import DimensionMismatch, FrontierCapExceeded
 from rootinv.laurent import ExponentLattice, LaurentPoly, act, render
 from rootinv.monoids import (
@@ -537,6 +538,15 @@ def test_laurent_kernel_matches_the_dict_reference(case, k, power, data):
         e2 = _apply(w, e)
         image[e2] = image.get(e2, 0) + c
     _agrees(act(w, pa), image)
+
+
+@settings(deadline=None, max_examples=100)
+@given(laurent_cases(), st.sampled_from((1, 3)))
+def test_render_is_unchanged_across_row_blocks(case, rows):
+    ring, (a, b) = case
+    terms = _ref_mul(a, b)
+    with patch.object(laurent, "_ROWS", rows):  # blocks of 1 and 3 terms
+        assert render(LaurentPoly(ring, terms)) == _ref_render(ring, terms)
 
 
 def test_int64_and_object_arrays_hold_the_same_polynomial():

@@ -127,6 +127,15 @@ def test_relations_bounded_a3_count_and_fixture_equivalence():
     assert not relations_equivalent((), rels, basis, 4)
 
 
+def test_relations_equivalent_rejects_a_wrong_arity():
+    basis = tuple(report_A(4).hilbert_basis)
+    rels = relations_bounded(basis, 4)
+    short = tuple(Binomial(r.plus[:-1], r.minus[:-1]) for r in rels)  # one generator too few
+    for first, second in ((rels, short), (short, rels), (short, short)):
+        with pytest.raises(DimensionMismatch, match="relation arity != basis size"):
+            relations_equivalent(first, second, basis, 4)
+
+
 def test_relabeled_rejects_wrong_generator_set():
     fix = load_fixture("a2")
     with pytest.raises(DimensionMismatch):

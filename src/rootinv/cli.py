@@ -45,6 +45,7 @@ from .reports import (
     expected_generators_C,
     expected_generators_D,
     family_monoid,
+    fundamental_orbit_sums,
     omega_expand,
     report,
     veronese_generators,
@@ -70,10 +71,9 @@ class _Block(list):
 def _emit(doc: dict) -> None:
     """Write doc and a newline to stdout as json.dumps(doc, sort_keys=True, indent=2) would, as it is made.
 
-    A dict is written key by key in sorted order; a callable value is called
-    when its key's turn comes, and a None result drops the key.  An iterator
-    is an array whose items are written as they arrive (a _Block item stands
-    for its items).  Every other value is one json.dumps, re-indented to its depth.
+    A dict is written key by key in sorted order.  An iterator is an array
+    whose items are written as they arrive (a _Block item stands for its
+    items).  Every other value is one json.dumps, re-indented to its depth.
     """
     write = sys.stdout.write
 
@@ -81,11 +81,8 @@ def _emit(doc: dict) -> None:
         if isinstance(v, dict) and v:
             sep = "{"
             for k in sorted(v):
-                item = v[k]
-                if callable(item) and (item := item()) is None:
-                    continue
                 write(f"{sep}{pad}  {json.dumps(k)}: ")
-                put(item, pad + "  ")
+                put(v[k], pad + "  ")
                 sep = ","
             write("{}" if sep == "{" else pad + "}")
         elif isinstance(v, Iterator):
@@ -185,20 +182,17 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         fx = payload["relations"].get("fixture")
         failed = fx is not None and not (fx["equivalent"] and fx["all_relations_verify"])
     if args.expand:
-        truncated = False
-
-        def expansions():
-            nonlocal truncated
-            sums: dict = {}  # each fundamental orbit sum o(w_i) is computed once
-            try:
-                for g in rep.generators:
-                    yield _expansion(rs, g, args.orbit_cap, sums)
-            except OrbitCapExceeded:
-                truncated = True
-
-        payload["expansion"] = expansions()
-        # written after the expansions, which come first in key order
-        payload["expansion_truncated"] = lambda: truncated or None
+        # every fundamental orbit sum o(w_i) is computed once, before the first byte; the first
+        # generator that the orbit cap stops ends the expansions
+        sums: dict = {}
+        expanded = []
+        try:
+            for g in rep.generators:
+                fundamental_orbit_sums(rs, g.coords, args.orbit_cap, sums)
+                expanded.append(g)
+        except OrbitCapExceeded:
+            payload["expansion_truncated"] = True
+        payload["expansion"] = (_expansion(rs, g, args.orbit_cap, sums) for g in expanded)
     _emit(_document(f"invariants {t.name}", payload))
     return 1 if failed else 0
 

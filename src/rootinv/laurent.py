@@ -326,15 +326,15 @@ def is_invariant(rs: RootSystem, p: LaurentPoly) -> bool:
     return all(act(s, p) == p for s in simple_reflections(rs))
 
 
-def _power(j: int, e: int, s: int, var: str) -> str:
+def _power(j: int, e: int, s: int) -> str:
     """'*' and the factor of coordinate j for the scaled exponent e, or '' when e is 0."""
     if e == 0:
         return ""
     if e % s == 0:
         q = e // s
-        return f"*{var}{j}" if q == 1 else f"*{var}{j}^{q}"
+        return f"*x{j}" if q == 1 else f"*x{j}^{q}"
     fr = Fraction(e, s)
-    return f"*{var}{j}^({fr.numerator}/{fr.denominator})"
+    return f"*x{j}^({fr.numerator}/{fr.denominator})"
 
 
 def _lookup(column: np.ndarray, text, lead: np.ndarray | None = None) -> np.ndarray:
@@ -347,23 +347,23 @@ def _lookup(column: np.ndarray, text, lead: np.ndarray | None = None) -> np.ndar
     return np.array(table + [t[1:] for t in table], dtype=object)[index + len(table) * lead]
 
 
-def render(p: LaurentPoly, var: str = "x") -> str:
-    """Human-readable form with exact (possibly fractional) exponents."""
+def render(p: LaurentPoly) -> str:
+    """Human-readable form in x1, ..., xn with exact (possibly fractional) exponents."""
     if p.is_zero():
         return "0"
     s = p.ring.scale
     return " + ".join(
-        _render_rows(p._exps[i : i + _ROWS], p._coeffs[i : i + _ROWS], s, var) for i in range(0, p.nterms, _ROWS)
+        _render_rows(p._exps[i : i + _ROWS], p._coeffs[i : i + _ROWS], s) for i in range(0, p.nterms, _ROWS)
     )
 
 
-def _render_rows(exps: np.ndarray, coeffs: np.ndarray, s: int, var: str) -> str:
+def _render_rows(exps: np.ndarray, coeffs: np.ndarray, s: int) -> str:
     """The terms (exps, coeffs) at exponent scale s, joined by ' + '."""
     nonzero = exps != 0
     first = nonzero.argmax(axis=1)  # the first factor of a monomial has no leading '*'
     bits = _lookup(coeffs, lambda c: "" if c == 1 else f"{c}*")
     for j, column in enumerate(exps.T):
-        np.add(bits, _lookup(column, lambda e: _power(j + 1, e, s, var), first == j), out=bits)
+        np.add(bits, _lookup(column, lambda e: _power(j + 1, e, s), first == j), out=bits)
     const = np.flatnonzero(~nonzero.any(axis=1))
     bits[const] = [str(c) for c in coeffs[const].tolist()]
     return " + ".join(bits.tolist())

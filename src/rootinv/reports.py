@@ -314,6 +314,17 @@ def veronese_generators(d: int) -> tuple[IntVec, ...]:
     return graded_lex_sorted(squares + products)
 
 
+def fundamental_orbit_sums(rs: RootSystem, m: IntVec, orbit_cap: int, sums: dict[int, LaurentPoly]) -> None:
+    """Add to sums, by i and in order, each fundamental orbit sum o(w_i) with m_i != 0 that it lacks.
+
+    Raises OrbitCapExceeded when an orbit passes orbit_cap; the sums made before it stay.
+    """
+    ring = alpha_ring(rs)
+    for i, e in enumerate(m):
+        if e and i not in sums:
+            sums[i] = orbit_sum_weight_coords(rs, tuple(1 if j == i else 0 for j in range(rs.rank)), ring, orbit_cap)
+
+
 def omega_expand(
     rs: RootSystem, m: IntVec, orbit_cap: int = DEFAULT_ORBIT_CAP, orbit_sums: dict[int, LaurentPoly] | None = None
 ) -> LaurentPoly:
@@ -322,14 +333,11 @@ def omega_expand(
     orbit_sums, if given, holds the fundamental orbit sums o(w_i) by i: a sum
     missing from it is computed and added, so calls that share it compute each once.
     """
-    ring = alpha_ring(rs)
     sums = {} if orbit_sums is None else orbit_sums
+    fundamental_orbit_sums(rs, m, orbit_cap, sums)
     out = None
     for i, e in enumerate(m):
         if e:
-            if i not in sums:
-                unit = tuple(1 if j == i else 0 for j in range(rs.rank))
-                sums[i] = orbit_sum_weight_coords(rs, unit, ring, orbit_cap)
             power = sums[i] ** e
             out = power if out is None else out * power
-    return LaurentPoly.constant(ring, 1) if out is None else out
+    return LaurentPoly.constant(alpha_ring(rs), 1) if out is None else out

@@ -24,6 +24,7 @@ from .errors import InvalidRank
 from .intlinalg import IntMatrix, QVec, RatVector, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+ROOT_TABLE_LIMIT = 1 << 24  # |Phi| * rank entries of the root table; A255 and B, C, D203 are the largest types within it
 
 Q = Fraction
 
@@ -48,6 +49,12 @@ class RootSystemType:
         )
         if not ok:
             raise InvalidRank(f"{fam}_{n} is not an irreducible type handled here")
+        # |Phi| = rank * h for the Coxeter number h (Bourbaki, Ch. VI, 1.11 and the planches)
+        h = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "F": 12, "G": 6}.get(fam) or {6: 12, 7: 18, 8: 30}[n]
+        if n * h * n > ROOT_TABLE_LIMIT:
+            raise InvalidRank(
+                f"{fam}_{n}: its root table holds |Phi| * rank = {n * h * n} entries, beyond the limit {ROOT_TABLE_LIMIT}"
+            )
         if fam == "C" and n == 2:
             warnings.warn("C_2 is isomorphic to B_2", stacklevel=3)
         if fam == "D" and n == 3:

@@ -31,7 +31,7 @@ from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_GROUP_CAP = 4_000_000
-_BLOCK = 1 << 18  # traces, or matrix entries, one step of a stacked scan forms at once; bounds its memory
+_BLOCK = 1 << 18  # traces one step of the reflection scan forms at once; bounds its memory
 
 Q = Fraction
 
@@ -304,103 +304,46 @@ def _sorted_stack(mats: np.ndarray) -> np.ndarray:
     return mats[np.lexsort(mats.reshape(len(mats), -1).T[::-1])]
 
 
-def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
-    """The |Phi+| root reflections, the reflections of W, in integer arithmetic.
+def coroot_pairings(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The positive roots beta as rows b of simple-root coordinates, and rows c of their coroot pairings.
 
-    For a positive root beta with simple-root coordinates b (a row of
-    RootSystem.root_coords), s_beta sends alpha_j to alpha_j - <alpha_j,
-    beta^vee> beta, so its matrix is 1 - b (x) c with c_j = <alpha_j, beta^vee>
-    = 2 (alpha_j, beta) / (beta, beta) = 2 (G b)_j / (b . G b) for the Gram
-    matrix G of the simple roots (Bourbaki, Ch. VI, 1.1).  All of them are
-    built at once; a remainder in that division raises ValueError.
+    c_j = <alpha_j, beta^vee> = 2 (alpha_j, beta) / (beta, beta) = 2 (G b)_j / (b . G b)
+    for the Gram matrix G of the simple roots; s_beta sends alpha_j to alpha_j - c_j beta,
+    so its matrix is 1 - b (x) c (Bourbaki, Ch. VI, 1.1).  A remainder in that division
+    raises ValueError.
     """
     b = rs.root_coords[(rs.root_coords >= 0).all(axis=1)]  # the positive roots
     gb = b @ rs.gram
     c, rem = np.divmod(2 * gb, (b * gb).sum(axis=1, keepdims=True))
     if rem.any():
         raise ValueError(f"{rs.rtype.name}: a coroot pairing <alpha_j, beta^vee> is not an integer")
+    return b, c
+
+
+def root_reflections(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The |Phi+| root reflections 1 - b (x) c (see coroot_pairings), the reflections of W, built at once."""
+    b, c = coroot_pairings(rs)
     return tuple(_elements(_sorted_stack(np.eye(rs.rank, dtype=np.int64) - b[:, :, None] * c[:, None, :])))
 
 
-def _stack(elements: Sequence[WeylElement]) -> np.ndarray:
-    """The int16 stack (F, n, n) of WeylElements of one rank; the inverse of _elements."""
-    n = elements[0].n
-    return np.frombuffer(b"".join(w._data for w in elements), dtype=np.int16).reshape(-1, n, n)
-
-
-def _h1_log2(mats: np.ndarray) -> np.ndarray:
-    """log2 |H^1(<w>, Z^n)| for every involution w of an integer stack (F, n, n).
-
-    H^1(<w>, Z^n) = ker(1+w) / im(1-w).  Every Z[C2]-lattice is a sum of
-    trivial, sign and regular summands (Reiner, Proc. Amer. Math. Soc. 8,
-    1957).  Only a sign summand has H^1 != 0, namely Z/2, and 1 - w has rank
-    0, 1 and 1 on the three over Q but 0, 0 and 1 over F_2.  So log2 |H^1| =
-    rank_Q(1-w) - rank_F2(1-w), where rank_Q(1-w) = (n - tr w) / 2 as w has
-    eigenvalues +-1.  The F_2 ranks come from one elimination on the whole
-    stack: for each column, the first row of 1 - w mod 2 holding a 1 there
-    is added to every row holding one, itself included, so each pivot row
-    leaves the matrix.  The stack is taken _BLOCK entries at a time.
-    Raises NotInvolution unless every w squares to 1.
-    """
-    n = mats.shape[-1]
-    eye = np.eye(n, dtype=np.int64)
-    step = max(1, _BLOCK // (n * n))
-    out = []
-    for lo in range(0, len(mats), step):
-        w = mats[lo : lo + step].astype(np.int64)
-        if not (w @ w == eye).all():
-            raise NotInvolution("element does not square to the identity")
-        m = (w & 1).astype(bool) ^ eye.astype(bool)  # 1 - w mod 2
-        rank_f2 = np.zeros(len(w), dtype=np.int64)
-        every = np.arange(len(w))
-        for c in range(n):
-            col = m[:, :, c]
-            pivot = m[every, col.argmax(axis=1)]  # row 0 where the column is 0, and then unused
-            rank_f2 += col.any(axis=1)
-            m ^= col[:, :, None] & pivot[:, None, :]
-        out.append((n - np.trace(w, axis1=1, axis2=2)) // 2 - rank_f2)
-    return np.concatenate(out)
-
-
 def h1_cyclic2(w: WeylElement) -> int:
-    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w; see _h1_log2.
+    """Order of H^1(<w>, Z^n) = ker(1+w) / im(1-w) for an involution w.
 
-    Raises NotInvolution unless w squares to 1.
+    Every Z[C2]-lattice is a sum of trivial, sign and regular summands (Reiner,
+    Proc. Amer. Math. Soc. 8, 1957).  Only a sign summand has H^1 != 0, namely
+    Z/2, and 1 - w has rank 0, 1 and 1 on the three over Q but 0, 0 and 1 over
+    F_2.  So log2 |H^1| = rank_Q(1-w) - rank_F2(1-w), where rank_Q(1-w) =
+    (n - tr w) / 2 as w has eigenvalues +-1.  Raises NotInvolution unless w
+    squares to 1.
     """
-    return 2 ** int(_h1_log2(_stack([w]))[0])
-
-
-@dataclass(frozen=True)
-class DiagonalizableReflections:
-    """Diagonalizable reflections of W on the root lattice.
-
-    They generate a normal elementary abelian 2-subgroup whose rank equals
-    their number.
-    """
-
-    rank: int
-    generators: tuple[WeylElement, ...]
-    method: str
-
-
-def diagonalizable_reflection_subgroup(
-    rs: RootSystem, cap: int = DEFAULT_GROUP_CAP
-) -> DiagonalizableReflections:
-    """Subgroup generated by reflections with nontrivial H^1 (diagonalizable ones).
-
-    The reflections of W are its root reflections, so those are the ones
-    examined, for every type.  The method label says how they were checked:
-
-    - ``"exhaustive-scan"``: |W| <= cap, and a reflection scan over all of W
-      found exactly the root reflections (AssertionError otherwise);
-    - ``"family-fallback"``: |W| > cap, and W was not enumerated.
-    """
-    refl = root_reflections(rs)
-    method = "family-fallback"
-    if rs.weyl_order <= cap:
-        if reflections(rs, cap) != refl:
-            raise AssertionError(f"{rs.rtype.name}: the reflection scan disagrees with the root reflections")
-        method = "exhaustive-scan"
-    diag = tuple(r for r, e in zip(refl, _h1_log2(_stack(refl))) if e == 1)
-    return DiagonalizableReflections(len(diag), diag, method)
-
+    m = np.array(w.matrix, dtype=np.int64)
+    if not (m @ m == np.eye(w.n, dtype=np.int64)).all():
+        raise NotInvolution("element does not square to the identity")
+    basis: list[int] = []  # rows of 1 - w mod 2 as bit masks, each clear of the leading bits of those before it
+    for row in (np.eye(w.n, dtype=np.int64) - m).tolist():
+        r = sum((x & 1) << j for j, x in enumerate(row))
+        for p in basis:
+            r = min(r, r ^ p)
+        if r:
+            basis.append(r)
+    return 2 ** ((w.n - int(np.trace(m))) // 2 - len(basis))

@@ -17,7 +17,7 @@ from rootinv import cli
 from rootinv.errors import GroupCapExceeded
 from rootinv.monoids import Congruence, CongruenceMonoid, graded_lex_sorted, hilbert_basis_box
 from rootinv.reports import report
-from rootinv.rootsystem import build
+from rootinv.rootsystem import ROOT_TABLE_LIMIT, RootSystemType, build
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -180,7 +180,8 @@ def test_value_error_in_the_mathematics_is_an_internal_error(capsys, monkeypatch
     def broken(rs):
         raise ValueError("reflection does not preserve the root lattice")
 
-    monkeypatch.setattr("rootinv.weyl.root_reflections", broken)
+    for module in ("rootinv.weyl", "rootinv.classgroup"):  # every module that holds the pairing table
+        monkeypatch.setattr(f"{module}.coroot_pairings", broken)
     code = cli.main(["classgroup", "A", "2"])
     assert code == 1
     err = capsys.readouterr().err
@@ -240,6 +241,97 @@ def test_classgroup_fallback(capsys):
     assert p["class_group"] == "0"
     assert p["method"] == "family-fallback"
     assert p["toric_cross_check"] == "agree"
+
+
+# classgroup T --group-cap 0 for every type of the sweep: the route that never scans W
+_FALLBACK_DIGESTS = {
+    "A1": "42b4ef4ea47d5c93906df218a74ee9f7826805c10a8150a01ca3d987eadfcb53",
+    "A2": "4fc5256864b5f2170bc11643df2b66fb8db71face4c337746103bfff18d18e73",
+    "A3": "22d8958e30ddd071130c146bc124124f6f716c58df2bb837aaac9170e35aab0b",
+    "A4": "28cd0bd63ead772543771626d496cde34b04340c175d36834705ac16a22249f2",
+    "A5": "1f42499ef6e9a8de105686341e904ceefda36ca23cf7fb13795baef56ba63aa2",
+    "A6": "d009f35e640820362a95b3d8a5aea208820541ec83a02e1bb7f26301b421f59c",
+    "A7": "ee9ec0050c198e24fc042090341c71d8fd664c6cc4a9fa8c413db1b30e65e32e",
+    "A8": "b28021b0536ff7b2c4a3167d727cadb898113b9cc4fc2e0acfffc6d55a8787ed",
+    "A9": "edafa53f7c7879b72ee303b0a27fe3303e3028e51d6a855b1e4da6e12cbd67fb",
+    "B2": "119496de8d342b30b20ae3ff9839486358c536da0aded67dbd9d775db4dc5fda",
+    "B3": "5be6a436e7af9c5a8efcb57654e61156a843aa8f04282ade1c82f8ca320ae496",
+    "B4": "50480b341433dee7a9563c3503ed95584189443610adba5ae2f611b548c9bdd0",
+    "B5": "a3e7af6119129bf943eb1d4617c43c5c9df60948de7077c3cc604b7e23a10023",
+    "B6": "5e8692fc69c6dbead8d7ae887ecca34333500b5a271a07cec5976f553fd06e4b",
+    "B7": "05ba2a6992bb952296580cc487f98581c9fe97893eab2488fc30f206e002ec5f",
+    "B8": "1fef6013b9c44bc214ef763e38f3c2cb0f7b78200fc4ba87baac5bb8bbd332d9",
+    "B9": "b9195f5ddb515286e4febad40c37ef998a0b9d8efb545516eeb40b0f98bd4e06",
+    "C2": "bdf23e01db84a662674097bf11d5fc13313d89619f5b3a476700823079838f89",
+    "C3": "95bed220ce8b31af4427ab1437b92b46308d79497f0880fb9505a0aa4ff01c99",
+    "C4": "5f851ffc74e0aa784b7d82f559956b6b96b6fc5d09d902d4a11fd24c216739d9",
+    "C5": "72be9f43bc0d8c7808bf4c63e0af982cbb52c4671c3412af61ae7c9a8f06939f",
+    "C6": "494abf09d28c93f95b866de0191503ac020f9f2baa6ce56152c3eb8c54813f23",
+    "C7": "3c72c28808595c14ad8411b237b51c2a6d2c402f3f3d325ff9ac683c3793f77f",
+    "C8": "9dfe7698484d74fdb180ac5602390f09b35b2b93ba886a297d98b696c9747019",
+    "C9": "7fc8e3d9c6e892470ae2024938febdb8c12feca516ff46cf30de9a07691df772",
+    "D3": "32f86bd396a28a410bcce8e6b2891fde5180853b82ec2673873450d6928496bf",
+    "D4": "2ee4d20552ca6407513746b674176f007c003f074cbbd19d98778c9d3dfcdebb",
+    "D5": "7ad176bb61338930ebc6bae9de9000a7acfd3f4dd91130c67478e5de9a52dfbc",
+    "D6": "425700bb1a5a1a407e096464436d1dd8727f8b568d25cd2829702bace6443268",
+    "D7": "16b5e451d223b141c6c05a39bf69c821ee915f2d191cc4fe4e16527ade5a94f5",
+    "D8": "607a4f1341c188efce1ffadabdd833ce1157fd44ba42496124be2e6d73c9d59a",
+    "D9": "7671e8874309e2e1b65de252636ee9df908f558b06eb857244e12c3f23f81b78",
+    "E6": "011804f3abdcfdd655d401c40a1f32f79d073a57a6a6fd16be0bb9712b8a78dc",
+    "E7": "a2e2cccd79bf1c1c634bc53ac197a05e41ab2c7adcefaa909fc4713438bdb779",
+    "E8": "477fc7027589dd8dcd58153e79bd83dc1c82b0b10c51ec9bea4e3be63cc5a8ca",
+    "F4": "5e7bfa8e318a3566345d4268db485bae3206a561df403d94fe54606fcdef4da5",
+    "G2": "70eecb3e7a3ab78a1a110b50ab77ec6d284355bda7fa75e7b635ef5caca38ff6",
+}
+_ALIASES = {"C2": "C_2 is isomorphic to B_2", "D3": "D_3 is isomorphic to A_3"}
+
+
+@pytest.mark.parametrize("name", _FALLBACK_DIGESTS)
+def test_class_group_fallback_bytes_are_pinned(capsys, name):
+    with pytest.warns(UserWarning, match=_ALIASES[name]) if name in _ALIASES else nullcontext():
+        code, out = run_cli(capsys, "classgroup", name, "--group-cap", "0")
+    assert code == 0
+    assert json.loads(out)["payload"]["method"] == "family-fallback"
+    assert hashlib.sha256(out.encode()).hexdigest() == _FALLBACK_DIGESTS[name]
+
+
+def test_class_group_fallback_builds_no_reflection_matrix(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the fallback route built a Weyl group matrix")
+
+    for target in ("classgroup.root_reflections", "classgroup.reflections", "weyl._group_levels"):
+        monkeypatch.setattr(f"rootinv.{target}", refuse)
+    code, out = run_cli(capsys, "classgroup", "A", "80")
+    assert code == 0
+    p = json.loads(out)["payload"]
+    assert (p["class_group"], p["diagonalizable_reflection_rank"], p["method"]) == ("Z/81", 0, "family-fallback")
+
+
+@pytest.mark.parametrize(
+    "argv,entries",
+    [
+        (("info", "A", str(10**20)), 10**60 + 10**40),
+        (("invariants", "A", str(10**20)), 10**60 + 10**40),
+        (("classgroup", "A", str(10**20)), 10**60 + 10**40),
+        (("info", "A", "256"), 256 * 257 * 256),
+        (("classgroup", "B", "204"), 2 * 204**3),
+        (("info", "C", "204"), 2 * 204**3),
+        (("invariants", "D", "204"), 2 * 204 * 203 * 204),
+    ],
+)
+def test_a_root_table_beyond_the_limit_is_refused_before_it_is_built(capsys, argv, entries):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: {argv[1]}_{argv[2]}: its root table holds |Phi| * rank = {entries} entries, "
+        f"beyond the limit {ROOT_TABLE_LIMIT}\n"
+    )
+
+
+def test_the_largest_types_within_the_root_table_limit_are_accepted():
+    for family, rank in (("A", 255), ("B", 203), ("C", 203), ("D", 203), ("E", 8)):
+        RootSystemType(family, rank)  # validated only: building A255 takes 16.6 million table entries
 
 
 def test_invariants_honours_box_cap(capsys):
@@ -370,8 +462,8 @@ def test_relation_generators_are_the_residual_basis(name):
 
 
 # The streamed writer against json.dumps.  A drawn document comes as (lazy, plain): the lazy
-# one holds iterators (of items and of _Block runs) and callables where the plain one holds
-# lists and values, and an "expansion" array whose exhaustion decides "expansion_truncated".
+# one holds iterators (of items and of _Block runs) where the plain one holds lists, beside an
+# "expansion" array and, when truncated, the "expansion_truncated" flag that follows it.
 _TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é", "😀", "a\u2028b"]))
 _LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT).map(lambda v: (v, v))
 
@@ -403,11 +495,7 @@ def _arrays(draw, children):
 @st.composite
 def _objects(draw, children):
     pairs = draw(st.dictionaries(_TEXT, children, max_size=5))
-    lazy = {}
-    for k, (v, _) in pairs.items():
-        # a callable stands for its value; None results drop the key, so null values stay eager
-        lazy[k] = (lambda v=v: v) if v is not None and draw(st.booleans()) else v
-    return lazy, {k: v for k, (_, v) in pairs.items()}
+    return {k: v for k, (v, _) in pairs.items()}, {k: v for k, (_, v) in pairs.items()}
 
 
 _DOCS = st.recursive(_LEAF, lambda children: st.one_of(_arrays(children), _objects(children)), max_leaves=20)
@@ -417,18 +505,10 @@ _DOCS = st.recursive(_LEAF, lambda children: st.one_of(_arrays(children), _objec
 @given(_DOCS, st.lists(_DOCS, max_size=3), st.booleans())
 def test_streamed_document_equals_json_dumps(doc, entries, truncate):
     lazy, plain = doc
-    truncated = False
-
-    def expansion():
-        nonlocal truncated
-        for entry, _ in entries:
-            yield entry
-        truncated = truncate  # known only once the array is written
-
-    outer = {"payload": lazy, "expansion": expansion(), "expansion_truncated": lambda: truncated or None}
+    outer = {"payload": lazy, "expansion": iter([entry for entry, _ in entries])}
     want = {"payload": plain, "expansion": [v for _, v in entries]}
     if truncate:
-        want["expansion_truncated"] = True
+        outer["expansion_truncated"] = want["expansion_truncated"] = True
     with redirect_stdout(io.StringIO()) as out:
         cli._emit(outer)
     assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"

@@ -12,16 +12,16 @@ import pytest
 import sympy
 
 from rootinv import weyl
+from rootinv.classgroup import class_group
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from rootinv.intlinalg import IntMatrix, smith_normal_form
 from rootinv.rootsystem import RootSystemType, build
 from rootinv.weyl import (
     WeylElement,
     _group_levels,
-    _h1_log2,
     _parabolic_factors,
     _rho_dtype,
-    diagonalizable_reflection_subgroup,
+    coroot_pairings,
     enumerate_group,
     group_order_bfs,
     h1_cyclic2,
@@ -295,37 +295,31 @@ def test_h1_conjugation_invariant():
 
 
 def test_diagonalizable_subgroup_b4():
-    rs = build("B", 4)
-    diag = diagonalizable_reflection_subgroup(rs)
-    assert diag.method == "exhaustive-scan"
-    assert diag.rank == 4
-    for s in diag.generators:
-        assert _is_reflection(s)
-        assert h1_cyclic2(s) == 2
+    res = class_group(build("B", 4))
+    assert res.method == "exhaustive-scan"
+    assert res.diagonalizable_rank == 4
 
 
 def test_diagonalizable_subgroup_trivial_cases():
     for name in ["A3", "A4", "C3", "C4", "D4", "D5", "G2", "F4"]:
         rs = build(RootSystemType.parse(name))
-        diag = diagonalizable_reflection_subgroup(rs)
-        assert diag.rank == 0, name
+        assert class_group(rs).diagonalizable_rank == 0, name
 
 
 def test_diagonalizable_subgroup_a1_c2():
-    rs = build("A", 1)
-    assert diagonalizable_reflection_subgroup(rs).rank == 1
+    assert class_group(build("A", 1)).diagonalizable_rank == 1
     with pytest.warns(UserWarning):
         c2 = build("C", 2)
-    assert diagonalizable_reflection_subgroup(c2).rank > 0
+    assert class_group(c2).diagonalizable_rank == 2
 
 
 def test_fallback_agrees_with_scan():
     for name in ["A3", "B3", "B4", "C3", "C4", "D4", "D5"]:
         rs = build(RootSystemType.parse(name))
-        scan = diagonalizable_reflection_subgroup(rs)
-        fallback = diagonalizable_reflection_subgroup(rs, cap=1)
-        assert fallback.method != "exhaustive-scan"
-        assert scan.rank == fallback.rank, name
+        scan = class_group(rs)
+        fallback = class_group(rs, cap=1)
+        assert (scan.method, fallback.method) == ("exhaustive-scan", "family-fallback")
+        assert scan.diagonalizable_rank == fallback.diagonalizable_rank, name
 
 
 def _types(*names):
@@ -360,6 +354,8 @@ def test_root_reflections_reject_a_fractional_coroot_pairing():
     bad = dataclasses.replace(rs, gram=np.array([[2, -1], [-1, 3]]))  # (alpha_1, alpha_2^vee) = -2/3
     with pytest.raises(ValueError, match="not an integer"):
         root_reflections(bad)
+    with pytest.raises(ValueError, match="not an integer"):
+        class_group(bad, cap=0)  # the fallback reads the same pairing table
 
 
 def _rank_f2(rows):
@@ -534,25 +530,23 @@ def test_reflection_scan_does_not_depend_on_the_block(monkeypatch, block):
     assert [reflections(rs) for rs in systems] == want
 
 
-def test_stacked_h1_matches_the_per_element_h1(monkeypatch):
-    names = [f"A{r}" for r in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
-    names += [f"C{n}" for n in range(2, 13)] + [f"D{n}" for n in range(4, 13)]
-    names += ["E6", "E7", "E8", "F4", "G2"]
-    stacks = [[w.matrix for w in root_reflections(rs)] for rs in _types(*names)]
-    for rs in _types("A1", "A2", "A3", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "G2", "F4"):
-        stacks.append([w.matrix for w in enumerate_group(rs) if (w * w).is_identity()])
-    assert sum(map(len, stacks)) == 1785 + 562
-    wants = [[h1_cyclic2(WeylElement(m)) for m in mats] for mats in stacks]
-    for block in (weyl._BLOCK, 50):  # 50 entries: one matrix at a time from rank 5 on
-        monkeypatch.setattr(weyl, "_BLOCK", block)
-        for mats, want in zip(stacks, wants):
-            assert [2 ** int(e) for e in _h1_log2(np.array(mats))] == want
+_PARITY_TYPES = [f"A{r}" for r in range(1, 13)] + [f"B{n}" for n in range(2, 13)] + [f"C{n}" for n in range(2, 13)]
+_PARITY_TYPES += [f"D{n}" for n in range(3, 13)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
-def test_stacked_h1_rejects_a_stack_with_one_non_involution():
-    rs = build("B", 3)
-    s1, s2 = simple_reflections(rs)[:2]
-    mats = [w.matrix for w in root_reflections(rs)]
-    mats.insert(4, (s1 * s2).matrix)
-    with pytest.raises(NotInvolution):
-        _h1_log2(np.array(mats))
+def test_coroot_parity_decides_h1_of_every_root_reflection():
+    # s = 1 - b (x) c has H^1 = Z/2 exactly when b or c is even: the rule class_group counts by
+    assert len(_PARITY_TYPES) == 49
+    count = 0
+    for rs in _types(*_PARITY_TYPES):
+        b, c = coroot_pairings(rs)
+        refl = [WeylElement(m.tolist()) for m in np.eye(rs.rank, dtype=np.int64) - b[:, :, None] * c[:, None, :]]
+        assert set(refl) == set(root_reflections(rs)), rs.rtype.name
+        diagonalizable = 0
+        for bk, ck, s in zip(b, c, refl):
+            even = not (bk % 2).any() or not (ck % 2).any()
+            assert even == (h1_cyclic2(s) == 2), (rs.rtype.name, s.matrix)
+            diagonalizable += even
+        assert class_group(rs, cap=0).diagonalizable_rank == diagonalizable, rs.rtype.name
+        count += len(refl)
+    assert count == 2481

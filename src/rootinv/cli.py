@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .classgroup import class_group, class_group_cross_check, weight_quotient
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     RootinvError,
     UsageError,
 )
-from .laurent import LaurentPoly, is_invariant, orbit_sum_weight_coords, render
+from .laurent import LaurentPoly, _render_pieces, is_invariant, orbit_sum_weight_coords
 from .monoids import (
     DEFAULT_BOX_CAP,
     KernelInstance,
@@ -68,12 +68,22 @@ class _Block(list):
     """Consecutive items of a streamed array, written by one json.dumps."""
 
 
+class _Text:
+    """A string given as an iterable of chunks, each written as it is made."""
+
+    def __init__(self, chunks: Iterable[str]):
+        self.chunks = chunks
+
+
 def _emit(doc: dict) -> None:
     """Write doc and a newline to stdout as json.dumps(doc, sort_keys=True, indent=2) would, as it is made.
 
     A dict is written key by key in sorted order.  An iterator is an array
     whose items are written as they arrive (a _Block item stands for its
-    items).  Every other value is one json.dumps, re-indented to its depth.
+    items).  A _Text is one string written a chunk at a time: JSON escapes
+    each character on its own, so escaping the chunks one by one gives the
+    same bytes.  Every other value is one json.dumps, re-indented to its
+    depth.
     """
     write = sys.stdout.write
 
@@ -98,6 +108,11 @@ def _emit(doc: dict) -> None:
                 sep = ","
                 del item  # dropped before the next item is made
             write("[]" if sep == "[" else pad + "]")
+        elif isinstance(v, _Text):
+            write('"')
+            for chunk in v.chunks:
+                write(json.dumps(chunk)[1:-1])
+            write('"')
         else:
             write(json.dumps(v, sort_keys=True, indent=2).replace("\n", pad))
 
@@ -198,9 +213,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def _expansion(rs, g, orbit_cap: int, sums: dict) -> dict:
-    """One generator's expansion entry; the polynomial itself is dropped on return."""
+    """One generator's expansion entry; the polynomial is dropped once its text is written."""
     p = omega_expand(rs, g.coords, orbit_cap, sums)
-    return {"name": g.name, "laurent": render(p), "terms": p.nterms}
+    return {"name": g.name, "laurent": _Text(_render_pieces(p)), "terms": p.nterms}
 
 
 def _relations_block(type_name: str, rep: InvariantReport, degree_bound: int | None) -> dict:
@@ -264,13 +279,15 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     t = _parse_type(args)
     rs = build(t)
     res = class_group_cross_check(rs, args.group_cap)
+    # with no diagonalizable reflection the class group is the weight quotient itself
+    quotient = res.group if res.diagonalizable_rank == 0 else weight_quotient(rs)
     payload = {
         "type": t.name,
         "class_group": res.name,
         "invariant_factors": list(res.group.invariant_factors),
         "diagonalizable_reflection_rank": res.diagonalizable_rank,
         "method": res.method,
-        "weight_quotient": weight_quotient(rs).name,
+        "weight_quotient": quotient.name,
         "toric_cross_check": "agree",
     }
     _emit(_document(f"classgroup {t.name}", payload))

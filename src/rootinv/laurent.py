@@ -6,8 +6,9 @@ invariant-theory ring uses simple-root coordinates (dimension = rank).
 
 A polynomial is a lexicographically sorted exponent array (T, dim) with a
 coefficient array (T,).  Products, sums and Weyl actions pack each exponent
-row into one mixed-radix key whose order is lex order, sort the keys
-stably and add the coefficients of equal keys.  The arrays are int64 when
+row into one mixed-radix key whose order is lex order, sort the keys and
+add the coefficients of equal keys; a product does so one band of output
+keys at a time (see _combine_products).  The arrays are int64 when
 every key, exponent and coefficient sum provably fits, and otherwise the
 same code runs on Python ints (`dtype=object`).
 """
@@ -18,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .weyl import DEFAULT_ORBIT_CAP, WeylElement, orbit_weight_coords, simple_re
 Exponent = tuple[int, ...]
 
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
-_BLOCK = 1 << 18  # term pairs a product forms at once; bounds its working memory
+_BLOCK = 1 << 14  # term pairs in one band of a product (at least 4 per row); bounds its working memory
 _ROWS = 1 << 12  # terms render formats at once; bounds its working memory
 
 
@@ -96,7 +97,7 @@ def _combine(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Add the coefficients of equal keys; return the keys in increasing order and the nonzero sums."""
     if not len(keys):
         return keys, coeffs
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
     coeffs = coeffs[order]
     del order
@@ -107,24 +108,53 @@ def _combine(keys: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _combine_products(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.ndarray):
-    """_combine of all pairs (ka_i + kb_j, ca_i * cb_j), formed at most _BLOCK pairs at a time.
+    """_combine of all pairs (ka_i + kb_j, ca_i * cb_j), one band of output keys at a time.
 
-    Each combined block is merged into the running result; the stable sort
-    merges the two sorted runs in linear time.
+    The shorter operand gives the rows.  Both key arrays increase, so the
+    pairs of row i whose key lies in a band [k0, k1) are the slice
+    searchsorted(long, k0 - short_i) : searchsorted(long, k1 - short_i) of
+    the longer one; a band's pairs are counted before they are formed, and
+    each band is combined once.  The bands are disjoint and in key order, so
+    their results are concatenated, never merged again: the product comes
+    out in output order (Johnson, SIGSAM Bull. 8(3), 1974; Monagan and
+    Pearce, ISSAC 2009).  Band edges are quantiles of a strided sample of
+    the pair keys, and a band that holds over 4 times its target is halved.
     """
-    step_b = min(len(kb), _BLOCK)
-    step_a = max(1, _BLOCK // step_b)
-    keys, coeffs = ka[:0], ca[:0]
-    for i in range(0, len(ka), step_a):
-        for j in range(0, len(kb), step_b):
-            k, c = _combine(
-                np.add.outer(ka[i : i + step_a], kb[j : j + step_b]).ravel(),
-                np.multiply.outer(ca[i : i + step_a], cb[j : j + step_b]).ravel(),
-            )
-            if len(keys):
-                k, c = _combine(np.concatenate((keys, k)), np.concatenate((coeffs, c)))
-            keys, coeffs = k, c
-    return keys, coeffs
+    if len(ka) > len(kb):
+        ka, ca, kb, cb = kb, cb, ka, ca
+    band = max(_BLOCK, 4 * len(ka))  # a band pays O(rows) for its slices
+    pairs = len(ka) * len(kb)
+    if pairs <= 4 * band:
+        return _combine(np.add.outer(ka, kb).ravel(), np.multiply.outer(ca, cb).ravel())
+    # at most 256 rows and about min(2^16, pairs / 16) keys in the sample, each standing
+    # for step_a * step_b pairs
+    step_a = -(-len(ka) // 256)
+    sampled_rows = ka[::step_a]
+    step_b = -(-len(kb) * len(sampled_rows) // min(1 << 16, pairs >> 4))
+    sample = np.sort(np.add.outer(sampled_rows, kb[::step_b]), axis=None)
+    per_band = max(1, band // (step_a * step_b))
+    first, last = ka[0] + kb[0], ka[-1] + kb[-1] + 1
+    edges = [k for k in np.unique(sample[per_band::per_band]).tolist() if first < k < last]
+    del sample
+    pending = [last, *reversed(edges)]  # upper band edges, the next one last
+    k0, lo, row = first, np.zeros(len(ka), dtype=np.intp), np.arange(len(ka))
+    keys, coeffs = [ka[:0]], [ca[:0]]
+    while pending:
+        k1 = pending.pop()
+        hi = np.searchsorted(kb, k1 - ka)
+        counts = hi - lo
+        n = int(counts.sum())
+        if n > 4 * band and k1 - k0 > 1:
+            pending += [k1, k0 + (k1 - k0) // 2]
+            continue
+        if n:
+            rows = np.repeat(row, counts)
+            cols = np.arange(n) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+            k, c = _combine(ka[rows] + kb[cols], ca[rows] * cb[cols])
+            keys.append(k)
+            coeffs.append(c)
+        k0, lo = k1, hi
+    return np.concatenate(keys), np.concatenate(coeffs)
 
 
 def _normal(exps: np.ndarray, coeffs: np.ndarray, coeff_bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +385,14 @@ def render(p: LaurentPoly) -> str:
     return " + ".join(
         _render_rows(p._exps[i : i + _ROWS], p._coeffs[i : i + _ROWS], s) for i in range(0, p.nterms, _ROWS)
     )
+
+
+def _render_pieces(p: LaurentPoly) -> Iterator[str]:
+    """render(p) in pieces: the renders of consecutive _ROWS-term slices, with ' + ' between them."""
+    for i in range(0, max(p.nterms, 1), _ROWS):
+        if i:
+            yield " + "
+        yield render(LaurentPoly._new(p.ring, p._exps[i : i + _ROWS], p._coeffs[i : i + _ROWS]))
 
 
 def _render_rows(exps: np.ndarray, coeffs: np.ndarray, s: int) -> str:

@@ -28,6 +28,7 @@ DEFAULT_FRONTIER_CAP = 2_000_000
 _BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 _MAX_AXES = 32  # numpy's flat and multi-array iterators take at most this many axes
+_SLAB = 1 << 18  # grid points verify_cell_partition scans at once, or one period of axis 0 if more
 
 
 @dataclass(frozen=True)
@@ -145,24 +146,30 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     return CongruenceMonoid(dim, tuple(congs))
 
 
-def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str, knob: str) -> np.ndarray:
-    """Boolean mask of the monoid points of prod [0, s_i), after cap checks that allocate nothing.
+def _check_cap(sizes: Sequence[int], box_cap: int, what: str, knob: str) -> None:
+    """Raise BoxCapExceeded, naming what was scanned and the knob that raises the cap, when
+    prod [0, s_i) has more than box_cap points."""
+    size = prod(sizes)
+    if size > box_cap:
+        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}; raise it with {knob}")
 
-    A cap error names what was scanned and the knob (a flag or an argument)
-    that raises the cap.
 
-    The mask has only the axes of size above 1 (see _box_points): an axis of
-    size 1 holds coordinate 0 alone, which adds nothing to a residue.
+def _box_mask(
+    m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str, knob: str, start: int = 0
+) -> np.ndarray:
+    """Boolean mask of the monoid points of prod [0, s_i), with axis 0 shifted to [start,
+    start + s_0), after cap checks that allocate nothing.
+
+    The mask has only the axes of size above 1 (see _box_points), and axis 0
+    when start is not 0: an axis of size 1 at 0 adds nothing to a residue.
     Residues are outer sums of a_i * x mod m in the smallest unsigned type that
     holds 2m (one byte per point for m < 128): dividing a congruence by
     gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
     prod(z) for the generator orders z; that product is capped here when the
     sizes are z, and otherwise by the box scan that the caller runs first.
     """
-    size = prod(sizes)
-    if size > box_cap:
-        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}; raise it with {knob}")
-    long = [k for k, s in enumerate(sizes) if s > 1]
+    _check_cap(sizes, box_cap, what, knob)
+    long = [k for k, s in enumerate(sizes) if s > 1 or (k == 0 and start)]
     if len(long) > _MAX_AXES:
         raise BoxCapExceeded(f"{what} has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
     mask = None  # the first congruence's zero test is the mask, so no all-true mask is held beside it
@@ -172,8 +179,8 @@ def _box_mask(m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str
         dtype = np.min_scalar_type(2 * mod)  # holds the sum of two residues
         res = np.zeros((), dtype=dtype)
         for k in long:
-            a, s = c.coeffs[k] // g, sizes[k]
-            res = np.add.outer(res, np.fromiter((a * x % mod for x in range(s)), dtype, s))
+            a, s, x0 = c.coeffs[k] // g, sizes[k], start if k == 0 else 0
+            res = np.add.outer(res, np.fromiter((a * x % mod for x in range(x0, x0 + s)), dtype, s))
             np.remainder(res, mod, out=res)
         hit = np.asarray(res == 0)  # an array also when no axis is long
         mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
@@ -361,16 +368,26 @@ def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAUL
     is_cell = np.zeros(z, dtype=bool)
     is_cell[tuple(np.array(cells).T)] = True
     shape = (bound + 1,) * m.dim
-    knob = "verify_cell_partition's box_cap argument"
-    grid = _box_mask(m, shape, box_cap, "cell-partition grid", knob).reshape(shape)
-    hit = grid
-    for axis, zi in enumerate(z):  # fold the grid onto the box: hit[r] = any grid[r + k z]
-        hit = np.pad(hit, [(0, -n % zi if k == axis else 0) for k, n in enumerate(hit.shape)])
-        hit = hit.reshape(hit.shape[:axis] + (-1, zi) + hit.shape[axis + 1 :]).any(axis=axis)
+    what, knob = "cell-partition grid", "verify_cell_partition's box_cap argument"
+    _check_cap(shape, box_cap, what, knob)
+    # the grid is scanned in slabs along axis 0 that start at multiples of z_0, so that
+    # each slab folds onto the box like the whole grid would
+    rows, z0 = (bound + 1, z[0]) if m.dim else (1, 1)  # a 0-dimensional grid is one point
+    height = max(z0, _SLAB // prod(shape[1:]) // z0 * z0)
+    hit = np.zeros(z, dtype=bool)
+    checked = 0
+    for start in range(0, rows, height):
+        slab = (min(height, rows - start), *shape[1:])[: m.dim]
+        grid = _box_mask(m, slab, box_cap, what, knob, start).reshape(slab)
+        checked += int(grid.sum())
+        for axis, zi in enumerate(z):  # fold the slab onto the box: hit[r] |= any grid[r + k z]
+            grid = np.pad(grid, [(0, -n % zi if k == axis else 0) for k, n in enumerate(grid.shape)])
+            grid = grid.reshape(grid.shape[:axis] + (-1, zi) + grid.shape[axis + 1 :]).any(axis=axis)
+        hit |= grid
     stray = np.argwhere(hit & ~is_cell)
     if len(stray):
         raise AssertionError(f"residue {tuple(stray[0].tolist())} is not a cell")
     if bound >= max(z, default=1) - 1 and (hit != is_cell).any():
         raise AssertionError("some cell received no element despite exhaustive bound")
-    return int(grid.sum())
+    return checked
 

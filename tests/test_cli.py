@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootinv import cli
+from rootinv import classgroup, cli, intlinalg, monoids
 from rootinv.errors import GroupCapExceeded
 from rootinv.monoids import Congruence, CongruenceMonoid, graded_lex_sorted, hilbert_basis_box
 from rootinv.reports import report
@@ -307,6 +307,23 @@ def test_class_group_fallback_builds_no_reflection_matrix(capsys, monkeypatch):
     assert (p["class_group"], p["diagonalizable_reflection_rank"], p["method"]) == ("Z/81", 0, "family-fallback")
 
 
+def test_classgroup_takes_the_weight_quotient_from_the_class_group(capsys, monkeypatch):
+    # one Smith form of the Cartan matrix (the reflection route) and one of the toric route
+    calls = []
+    original = intlinalg.cokernel_invariant_factors
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in (classgroup, monoids):
+        monkeypatch.setattr(mod, "cokernel_invariant_factors", counted)
+    code, out = run_cli(capsys, "classgroup", "A", "80")
+    assert code == 0
+    assert json.loads(out)["payload"]["weight_quotient"] == "Z/81"
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize(
     "argv,entries",
     [
@@ -462,10 +479,14 @@ def test_relation_generators_are_the_residual_basis(name):
 
 
 # The streamed writer against json.dumps.  A drawn document comes as (lazy, plain): the lazy
-# one holds iterators (of items and of _Block runs) where the plain one holds lists, beside an
-# "expansion" array and, when truncated, the "expansion_truncated" flag that follows it.
+# one holds iterators (of items and of _Block runs) where the plain one holds lists, and _Text
+# chunks where the plain one holds their string, beside an "expansion" array and, when
+# truncated, the "expansion_truncated" flag that follows it.
 _TEXT = st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", "\n\t", "\x00\x1f", "é", "😀", "a\u2028b"]))
-_LEAF = st.one_of(st.none(), st.booleans(), st.integers(), _TEXT).map(lambda v: (v, v))
+_LEAF = st.one_of(
+    st.one_of(st.none(), st.booleans(), st.integers(), _TEXT).map(lambda v: (v, v)),
+    st.lists(_TEXT, max_size=4).map(lambda chunks: (cli._Text(iter(chunks)), "".join(chunks))),
+)
 
 
 def _lazy_array(pairs, runs):
@@ -537,6 +558,16 @@ def test_the_large_arrays_are_written_in_pieces(monkeypatch, argv, key):
     text = stdout.getvalue()
     assert len(json.loads(text)["payload"][key]) > 1
     assert max(stdout.sizes) <= len(text) // 2
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_expansions_rendered_in_pieces_are_the_whole_document(capsys, monkeypatch, rows):
+    whole = run_cli(capsys, "invariants", "C", "3", "--expand")
+    monkeypatch.setattr("rootinv.laurent._ROWS", rows)  # pieces of 1 and 3 terms
+    code, out = run_cli(capsys, "invariants", "C", "3", "--expand")
+    assert (code, out) == whole
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    assert all(entry["terms"] > rows for entry in json.loads(out)["payload"]["expansion"])
 
 
 def test_a_failure_after_the_first_expansion_exits_1_with_its_message(capsys, monkeypatch):

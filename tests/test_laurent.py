@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from rootinv import laurent
 from rootinv.errors import DimensionMismatch, RingMismatch
 from rootinv.laurent import (
     ExponentLattice,
@@ -166,3 +167,40 @@ def test_long_products_are_formed_in_bounded_blocks():
         tracemalloc.stop()
     assert square.terms() == tuple(((k,), min(k, 5998 - k) + 1) for k in range(5999))
     assert peak < 64 * 2**20
+
+
+def test_orbit_sum_product_working_memory_is_a_band():
+    # C7's 672 x 672 orbit-sum square: 451,584 term pairs and 34,455 terms out.  Merging
+    # each block of pairs into the running result peaked at 8.0 MB.
+    rs = build("C", 7)
+    p = next(q for q in (orbit_sum_weight_coords(rs, [int(j == i) for j in range(7)]) for i in range(7)) if q.nterms == 672)
+    tracemalloc.start()
+    try:
+        square = p * p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert square.nterms == 34_455
+    assert peak < 4 * 2**20
+
+
+def test_a_band_holds_at_most_four_times_its_target(monkeypatch):
+    # Rows x^(i 10^6) (257 of them, so the key sample skips every other row) times a
+    # dense 4,097-term run: every band between two sampled rows holds a whole skipped
+    # row of 4,097 pairs against a target of 4 * 257, so it must be halved.
+    ring = ExponentLattice(1, 1)
+    rows = LaurentPoly(ring, {(i * 10**6,): 1 for i in range(257)})
+    run = LaurentPoly(ring, {(j,): 1 for j in range(4097)})
+    sizes = []
+
+    def combine(keys, coeffs):
+        sizes.append(len(keys))
+        return combine_all(keys, coeffs)
+
+    combine_all = laurent._combine
+    monkeypatch.setattr(laurent, "_BLOCK", 1)
+    monkeypatch.setattr(laurent, "_combine", combine)
+    product = rows * run
+    assert max(sizes) <= 4 * 4 * 257 and sum(sizes) == 257 * 4097
+    assert product._exps.ravel().tolist() == [i * 10**6 + j for i in range(257) for j in range(4097)]
+    assert product._coeffs.tolist() == [1] * (257 * 4097)

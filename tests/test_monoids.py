@@ -202,6 +202,14 @@ def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
     assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(40)] for x in range(301)]
 
 
+def test_box_mask_shifts_axis_0_by_its_start():
+    m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
+    whole = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box", "--box-cap")
+    for start, rows in [(5, 4), (299, 2), (3, 1), (0, 1)]:
+        got = _box_mask(m, (rows, 40), DEFAULT_BOX_CAP, "box", "--box-cap", start)
+        assert got.reshape(rows, 40).tolist() == whole[start : start + rows].tolist()
+
+
 def test_verify_cell_partition_checks_the_grid_cap_first():
     # 11^4 = 14641 grid points; the box of D4 itself has only 16
     message = (
@@ -223,6 +231,19 @@ def test_verify_cell_partition_rejects_wrong_cells(monkeypatch, cells, message):
     # the cells of A2 are (0, 0), (1, 1), (2, 2)
     monkeypatch.setattr("rootinv.monoids.hironaka_cells", lambda m, box_cap: cells)
     with pytest.raises(AssertionError, match=message):
+        verify_cell_partition(a_monoid(3), 8)
+
+
+@pytest.mark.parametrize("slab", [1, 2, 60])
+def test_verify_cell_partition_is_the_same_in_slabs(monkeypatch, slab):
+    # slabs of one period of axis 0 (z_0 = 3 for A2, 2 for D4 and C3, so D4's last slab is
+    # one row), and at 60 points A2's 9-point rows go in slabs of 6 rows and then 3
+    cases = [(a_monoid(3), 8), (family_monoid(build("D", 4)), 6), (family_monoid(build("C", 3)), 5)]
+    want = [verify_cell_partition(m, bound) for m, bound in cases]
+    monkeypatch.setattr(monoids, "_SLAB", slab)
+    assert [verify_cell_partition(m, bound) for m, bound in cases] == want
+    monkeypatch.setattr("rootinv.monoids.hironaka_cells", lambda m, box_cap: ((0, 0), (2, 2)))
+    with pytest.raises(AssertionError, match=r"^residue \(1, 1\) is not a cell$"):
         verify_cell_partition(a_monoid(3), 8)
 
 

@@ -549,6 +549,38 @@ def test_render_is_unchanged_across_row_blocks(case, rows):
         assert render(LaurentPoly(ring, terms)) == _ref_render(ring, terms)
 
 
+@st.composite
+def banded_products(draw):
+    """A short and a long polynomial (1 to 8 and 24 to 40 terms, more than 4 bands of at least 4
+    pairs per row); when shared, the long one holds the inverse of every term of the short one,
+    so that all their pairs share the key 0."""
+    ring = ExponentLattice(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    exponents = st.tuples(*[_EXPONENT] * ring.dim)
+    short = draw(st.dictionaries(exponents, _COEFF, min_size=1, max_size=8))
+    firsts = draw(st.lists(st.one_of(st.integers(-40, 40), _EXPONENT), min_size=24, max_size=40, unique=True))
+    rests = draw(st.lists(st.tuples(*[_EXPONENT] * (ring.dim - 1)), min_size=len(firsts), max_size=len(firsts)))
+    coeffs = draw(st.lists(_COEFF, min_size=len(firsts), max_size=len(firsts)))
+    long = {(x, *rest): c for x, rest, c in zip(firsts, rests, coeffs)}
+    if draw(st.booleans()):
+        long.update({tuple(-x for x in e): draw(_COEFF) for e in short})
+    return ring, short, long
+
+
+@settings(deadline=None, max_examples=60)
+@given(banded_products(), st.booleans())
+def test_products_across_bands_match_the_dict_reference(case, objects):
+    ring, a, b = case
+    products = []
+    # a band of 1, 2 or 5 pairs holds at least 4 per row; _INT64 at 0 puts every key on Python ints
+    for block in (1, 2, 5):
+        with patch.object(laurent, "_BLOCK", block), patch.object(laurent, "_INT64", 0 if objects else 2**63):
+            pa, pb = LaurentPoly(ring, a), LaurentPoly(ring, b)
+            products += [pa * pb, pb * pa]
+    assert all(p._coeffs.dtype == object for p in products) or not objects
+    assert all(p == products[0] for p in products)
+    _agrees(products[0], _ref_mul(a, b))
+
+
 def test_int64_and_object_arrays_hold_the_same_polynomial():
     ring = ExponentLattice(2, 2)
     p = LaurentPoly(ring, {(1, -2): 3, (0, 0): -1, (5, 5): 2**40})

@@ -134,7 +134,7 @@ def cmd_info(args: argparse.Namespace) -> int:
         "family": t.family,
         "rank": t.rank,
         "ambient_dimension": rs.ambient_dim,
-        "root_count": len(rs.roots),
+        "root_count": len(rs.root_coords),
         "weyl_order": rs.weyl_order,
         "cartan_matrix": [list(r) for r in rs.cartan.rows],
         "cartan_determinant": quotient.order,

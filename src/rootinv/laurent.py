@@ -304,17 +304,13 @@ def _weight_orbit_sum(rs: RootSystem, points: Iterable[Sequence[int]], ring: Exp
     """Sum of x^(ring.scale * alpha-coordinates) over weights given in weight coordinates.
 
     The weights go to alpha-coordinates through the one integer matrix
-    weight_scale * fundamental_weights_alpha.
+    rs.weights = |P/Q| * (fundamental weights in alpha-coordinates).
     """
-    s = rs.weight_scale
-    scaled = [[c * s for c in w] for w in rs.fundamental_weights_alpha]
-    if any(c.denominator != 1 for row in scaled for c in row):
-        raise AssertionError("weight_scale must clear the fundamental weights' denominators")
     pts = np.array(list(points), dtype=object)
-    exps = _matmul(pts, [[int(c) * ring.scale for c in row] for row in scaled])
-    if (exps % s).any():
+    exps = _matmul(pts, [[x * ring.scale for x in row] for row in rs.weights.tolist()])
+    if (exps % rs.index).any():
         raise DimensionMismatch("weight does not live in the scaled exponent lattice")
-    return LaurentPoly._new(ring, *_normal(exps // s, np.ones(len(exps), dtype=exps.dtype), 1))
+    return LaurentPoly._new(ring, *_normal(exps // rs.index, np.ones(len(exps), dtype=exps.dtype), 1))
 
 
 def orbit_sum(rs: RootSystem, v: Sequence[Fraction | int], ring: ExponentLattice | None = None) -> LaurentPoly:

@@ -5,9 +5,11 @@ B/C/D families in R^n, G2 in R^3, F4 in R^4 and E6/E7/E8 in R^8.  Simple
 bases follow the Bourbaki planches, so every downstream index (weights,
 congruence coefficients, generator orders) is in Bourbaki order.  The
 roots are the Weyl orbits of the simple roots, walked on one canonical-parent
-tree with no deduplication and kept as one integer table of simple-root
-coordinates, and |W| = n! * |P/Q| * prod(m_i) over the coefficients m_i of
-the highest root (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, 2).
+tree with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
+coefficients m_i of the highest root (Bourbaki, Lie Groups and Lie Algebras,
+Ch. VI, 2).  Everything is kept as integer tables: the simple roots over
+DEN, the roots in simple-root coordinates, and the fundamental weights over
+|P/Q|; the Fraction views of them are derived on first read.
 """
 
 from __future__ import annotations
@@ -15,18 +17,18 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, lcm, prod
+from functools import cached_property
+from math import factorial, gcd, lcm, prod
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidRank
+from .errors import DimensionMismatch, InvalidRank
 from .intlinalg import IntMatrix, QVec, RatVector, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 ROOT_TABLE_LIMIT = 1 << 24  # |Phi| * rank entries of the root table; A255 and B, C, D203 are the largest types within it
-
-Q = Fraction
+DEN = 2  # every simple root in _simple_roots lies in (1/2) Z^dim, so the ambient tables are kept over 2
 
 
 @dataclass(frozen=True)
@@ -75,29 +77,21 @@ class RootSystemType:
         return RootSystemType(fam, int(rank))
 
 
-def _dot(u: QVec, v: QVec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Q(0))
-
-
-def _pairing(beta: QVec, alpha: QVec) -> Fraction:
-    """Cartan pairing <beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha)."""
-    return 2 * _dot(beta, alpha) / _dot(alpha, alpha)
-
-
 @dataclass(frozen=True)
 class RootSystem:
-    """Computed root-system data; build via :func:`build`."""
+    """Computed root-system data, held as integer tables; build via :func:`build`.
+
+    The Fraction views (roots, simple roots, fundamental weights) are derived
+    from the tables on first read.
+    """
 
     rtype: RootSystemType
-    ambient_dim: int
-    simple_roots: tuple[QVec, ...]
-    roots: tuple[QVec, ...]
+    simple: np.ndarray = field(compare=False)  # row i: DEN * alpha_i in ambient coordinates
     root_coords: np.ndarray = field(compare=False)  # row k: simple-root coordinates of roots[k]
-    gram: np.ndarray = field(compare=False)  # den^2 (alpha_i, alpha_j), den clearing the simple roots
+    gram: np.ndarray = field(compare=False)  # DEN^2 (alpha_i, alpha_j)
     cartan: IntMatrix  # entry (i, j) = <alpha_j, alpha_i^vee>
-    fundamental_weights_ambient: tuple[QVec, ...]
-    fundamental_weights_alpha: tuple[QVec, ...]
-    weight_orders: tuple[int, ...]  # order of each weight in weight/root quotient
+    index: int  # |P/Q| = det(cartan)
+    weights: np.ndarray = field(compare=False)  # row i: index * omega_i in simple-root coordinates
     weyl_order: int
 
     @property
@@ -105,85 +99,87 @@ class RootSystem:
         return self.rtype.rank
 
     @property
+    def ambient_dim(self) -> int:
+        return self.simple.shape[1]
+
+    @cached_property
+    def simple_roots(self) -> tuple[QVec, ...]:
+        return _exact(np.eye(self.rank, dtype=np.int64), self.simple, DEN)
+
+    @cached_property
+    def roots(self) -> tuple[QVec, ...]:
+        return _exact(self.root_coords, self.simple, DEN)
+
+    @cached_property
+    def fundamental_weights_alpha(self) -> tuple[QVec, ...]:
+        return _exact(np.eye(self.rank, dtype=np.int64), self.weights, self.index)
+
+    @cached_property
+    def fundamental_weights_ambient(self) -> tuple[QVec, ...]:
+        return _exact(self.weights, self.simple, self.index * DEN)
+
+    @cached_property
+    def weight_orders(self) -> tuple[int, ...]:
+        """Order of each fundamental weight in the weight/root quotient."""
+        return tuple(self.index // gcd(self.index, *row) for row in self.weights.tolist())
+
+    @property
     def weight_scale(self) -> int:
         """Lcm of all alpha-coordinate denominators of fundamental weights."""
         return lcm(*self.weight_orders)
 
-    def pairing_with_simple(self, v: QVec) -> tuple[Fraction, ...]:
-        return tuple(_pairing(v, a) for a in self.simple_roots)
+    def pairing_with_simple(self, v: Sequence) -> QVec:
+        """<v, alpha_j^vee> = 2 (v, alpha_j) / (alpha_j, alpha_j): v times the coroot table over d."""
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch(f"{self.rtype.name} lives in dimension {self.ambient_dim}, not {len(v)}")
+        g = self.gram.diagonal()
+        d = lcm(*g.tolist())
+        return _exact([v], (self.simple * (2 * DEN * d // g)[:, None]).T, d)[0]
 
-    def alpha_coords(self, v: QVec) -> QVec:
+    def alpha_coords(self, v: Sequence) -> QVec:
         """Coordinates of the span-component of v in the simple-root basis."""
-        pair = self.pairing_with_simple(v)
-        return tuple(
-            sum((w[i] * p for w, p in zip(self.fundamental_weights_alpha, pair)), Q(0))
-            for i in range(self.rank)
-        )
+        return _exact([self.pairing_with_simple(v)], self.weights, self.index)[0]
 
-    def span_component(self, v: QVec) -> QVec:
-        c = self.alpha_coords(v)
-        out = [Q(0)] * self.ambient_dim
-        for ci, a in zip(c, self.simple_roots):
-            for k in range(self.ambient_dim):
-                out[k] += ci * a[k]
-        return tuple(out)
+    def span_component(self, v: Sequence) -> QVec:
+        return _exact([self.alpha_coords(v)], self.simple, DEN)[0]
 
-    def from_weight_coords(self, m) -> QVec:
-        out = [Q(0)] * self.ambient_dim
-        for mi, w in zip(m, self.fundamental_weights_ambient):
-            for k in range(self.ambient_dim):
-                out[k] += Q(mi) * w[k]
-        return tuple(out)
+    def from_weight_coords(self, m: Sequence) -> QVec:
+        return _exact([m], self.weights @ self.simple, self.index * DEN)[0]
 
 
-def _basis(n: int, i: int) -> list[Fraction]:
-    e = [Q(0)] * n
-    e[i] = Q(1)
-    return e
+def _exact(c, table: np.ndarray, den: int) -> tuple[QVec, ...]:
+    """The rows of c @ table / den as exact Fractions.
+
+    c is an int64 array, whose product with these small tables is exact in
+    int64, or rows of rationals, which are put over one denominator d so that
+    the product is an integer one, in Python ints, over d * den.
+    """
+    if not isinstance(c, np.ndarray):
+        c = [[Fraction(x) for x in row] for row in c]
+        d = lcm(*(x.denominator for row in c for x in row))
+        c = np.array([[int(x * d) for x in row] for row in c], dtype=object)
+        table, den = table.astype(object), den * d
+    nums = (c @ table).tolist()
+    frac = {x: Fraction(x, den) for x in {x for row in nums for x in row}}  # a few distinct values
+    return tuple(tuple(frac[x] for x in row) for row in nums)
 
 
-def _simple_roots(t: RootSystemType) -> tuple[int, list[QVec]]:
+def _simple_roots(t: RootSystemType) -> np.ndarray:
+    """The rows DEN * alpha_i = 2 alpha_i in ambient coordinates (Bourbaki, planches I-IX)."""
     fam, n = t.family, t.rank
-    if fam == "A":
-        dim = n + 1
-        alphas = [tuple(Q(x) for x in _vec_sub(_basis(dim, i), _basis(dim, i + 1))) for i in range(n)]
-    elif fam in ("B", "C", "D"):
-        dim = n
-        alphas = [tuple(Q(x) for x in _vec_sub(_basis(dim, i), _basis(dim, i + 1))) for i in range(n - 1)]
-        if fam == "B":
-            alphas.append(tuple(_basis(dim, n - 1)))
-        elif fam == "C":
-            alphas.append(tuple(2 * x for x in _basis(dim, n - 1)))
-        else:
-            last = _basis(dim, n - 2)
-            alphas.append(tuple(a + b for a, b in zip(last, _basis(dim, n - 1))))
-    elif fam == "G":
-        dim = 3
-        alphas = [
-            (Q(1), Q(-1), Q(0)),
-            (Q(-2), Q(1), Q(1)),
-        ]
-    elif fam == "F":
-        dim = 4
-        alphas = [
-            (Q(0), Q(1), Q(-1), Q(0)),
-            (Q(0), Q(0), Q(1), Q(-1)),
-            (Q(0), Q(0), Q(0), Q(1)),
-            (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
-        ]
-    else:  # E6 / E7 / E8
-        dim = 8
-        a1 = [Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)]
-        a2 = [Q(1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0)]
-        alphas = [tuple(a1), tuple(a2)]
-        for i in range(3, n + 1):
-            v = _vec_sub(_basis(dim, i - 2), _basis(dim, i - 3))
-            alphas.append(tuple(Q(x) for x in v))
-    return dim, alphas
-
-
-def _vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]
+    if fam == "G":
+        return np.array([[2, -2, 0], [-4, 2, 2]])
+    if fam == "F":
+        return np.array([[0, 2, -2, 0], [0, 0, 2, -2], [0, 0, 0, 2], [1, -1, -1, -1]])
+    if fam == "E":
+        e = DEN * np.eye(8, dtype=np.int64)
+        rest = [e[i - 2] - e[i - 3] for i in range(3, n + 1)]
+        return np.array([[1, -1, -1, -1, -1, -1, -1, 1], e[0] + e[1], *rest])
+    e = DEN * np.eye(n + 1 if fam == "A" else n, dtype=np.int64)
+    rows = [e[i] - e[i + 1] for i in range(n if fam == "A" else n - 1)]
+    if fam != "A":
+        rows.append({"B": e[n - 1], "C": 2 * e[n - 1], "D": e[n - 2] + e[n - 1]}[fam])
+    return np.array(rows)
 
 
 def dominant(cartan_rows, m: Sequence) -> tuple:
@@ -224,24 +220,18 @@ def orbit_tree(cartan_rows, top: Sequence) -> Iterator[tuple]:
         level = children
 
 
-def _over(nums: list[list[int]], den: int) -> tuple[QVec, ...]:
-    """The rows of the integer matrix nums divided by den, as Fractions."""
-    frac = {x: Q(x, den) for x in {x for row in nums for x in row}}  # a few distinct values
-    return tuple(tuple(frac[x] for x in row) for row in nums)
-
-
 def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     """Construct the root system with all derived weight data.
 
     Raises AssertionError unless |Phi| = rank * h, where h = ht(theta) + 1 is
-    the Coxeter number of the highest root theta (Bourbaki, Ch. VI, 1.11).
+    the Coxeter number of the highest root theta (Bourbaki, Ch. VI, 1.11),
+    and unless n! |P/Q| prod(m_i) agrees with Macdonald's second route to
+    |W|, prod over beta > 0 of (ht(beta) + 1) / ht(beta) (Math. Ann. 199, 1972).
     """
     if isinstance(t, str):
         t = RootSystemType.parse(t, rank)
-    dim, alphas = _simple_roots(t)
     n = t.rank
-    den = lcm(*(x.denominator for a in alphas for x in a))
-    simple = np.array([[int(x * den) for x in a] for a in alphas], dtype=np.int64)  # den * alpha_i
+    simple = _simple_roots(t)
     gram = simple @ simple.T
     # entry (i, j) = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i)
     cartan_rows = (2 * gram // gram.diagonal()[:, None]).tolist()
@@ -250,34 +240,32 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     # fundamental weights: rows of the inverse transposed Cartan matrix are
     # the alpha-coordinates (so that <w_i, alpha_j^vee> = delta_ij)
     f, scaled = scaled_inverse(cartan)  # f = det(cartan) = |P/Q|, and f * cartan^{-1}
-    adj_t = np.array(scaled.transpose().rows, dtype=np.int64)  # f * walpha, integral
-    walpha = _over(adj_t.tolist(), f)
+    weights = np.array(scaled.transpose().rows, dtype=np.int64)  # f * omega_i, integral
 
     # roots: the orbits of the simple roots, whose weight coordinates are the
     # Cartan columns; W is transitive on the roots of each length
     by_length = {g: i for i, g in enumerate(gram.diagonal().tolist())}
     tops = [dominant(cartan_rows, [row[j] for row in cartan_rows]) for j in by_length.values()]
     pts = np.array([m for top in tops for m in orbit_tree(cartan_rows, top)], dtype=np.int64)
-    coords = pts @ adj_t // f  # simple-root coordinates; every root lies in Q
-    highest = coords[coords.sum(axis=1).argmax()].tolist()  # the root of greatest height
+    coords = pts @ weights // f  # simple-root coordinates; every root lies in Q
+    heights = coords.sum(axis=1)
+    highest = coords[heights.argmax()].tolist()  # the root of greatest height
     expected = n * (sum(highest) + 1)
     if len(coords) != expected:
         raise AssertionError(f"{t.name}: {len(coords)} roots, but rank * (ht(theta) + 1) = {expected}")
-    for table in (coords, gram):  # a RootSystem may be shared, so its arrays stay as built
+    weyl_order = factorial(n) * f * prod(highest)
+    # with c_k positive roots of height k, the product is prod_j j^(c_(j-1) - c_j)
+    c = np.bincount(heights[heights > 0]).tolist() + [0]
+    macdonald = prod(Fraction(j) ** (c[j - 1] - c[j]) for j in range(2, len(c)))
+    if weyl_order != macdonald:
+        raise AssertionError(
+            f"{t.name}: n! |P/Q| prod(m_i) = {weyl_order}, but prod (ht(beta) + 1) / ht(beta) = {macdonald}"
+        )
+    for table in (simple, coords, gram, weights):  # a RootSystem may be shared, so its arrays stay as built
         table.setflags(write=False)
-
     return RootSystem(
-        rtype=t,
-        ambient_dim=dim,
-        simple_roots=tuple(alphas),
-        roots=_over((coords @ simple).tolist(), den),
-        root_coords=coords,
-        gram=gram,
-        cartan=cartan,
-        fundamental_weights_ambient=_over((adj_t @ simple).tolist(), f * den),
-        fundamental_weights_alpha=walpha,
-        weight_orders=tuple(lcm(*(c.denominator for c in w)) for w in walpha),
-        weyl_order=factorial(n) * f * prod(highest),
+        rtype=t, simple=simple, root_coords=coords, gram=gram, cartan=cartan, index=f, weights=weights,
+        weyl_order=weyl_order,
     )
 
 

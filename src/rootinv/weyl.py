@@ -33,8 +33,6 @@ DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_GROUP_CAP = 4_000_000
 _BLOCK = 1 << 18  # traces one step of the reflection scan forms at once; bounds its memory
 
-Q = Fraction
-
 
 class WeylElement:
     """Immutable integer matrix in simple-root coordinates, hashable."""
@@ -103,8 +101,8 @@ class OrbitSet:
 
 
 def orbit(rs: RootSystem, v: Sequence[Fraction | int], cap: int = DEFAULT_ORBIT_CAP) -> OrbitSet:
-    """Orbit of an ambient vector: BFS on its rational weight coordinates."""
-    vq = tuple(Q(x) for x in v)
+    """Orbit of an ambient vector: the canonical-parent walk of its rational weight coordinates."""
+    vq = tuple(Fraction(x) for x in v)
     perp = tuple(a - b for a, b in zip(vq, rs.span_component(vq)))
     amb = []
     for m in orbit_weight_coords(rs, rs.pairing_with_simple(vq), cap):
@@ -211,7 +209,7 @@ def _group_levels(
 
 def _rho_dtype(rs: RootSystem) -> np.dtype:
     """Smallest signed type holding +-(h - 1), h = |Phi| / rank the Coxeter number."""
-    return np.min_scalar_type(-(len(rs.roots) // rs.rank))
+    return np.min_scalar_type(-(len(rs.root_coords) // rs.rank))
 
 
 def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:

@@ -1,5 +1,5 @@
 """The library names that the benchmark's tracer wraps must keep resolving, and the library
-defines nothing that neither the library, `rootinv.__all__` nor the tracer reaches."""
+defines nothing, public or private, that neither the library, `rootinv.__all__` nor the tracer reaches."""
 
 from __future__ import annotations
 
@@ -35,15 +35,16 @@ def test_every_traced_layer_resolves():
 
 
 def test_every_public_definition_is_reached():
-    # A public module-level function or class must be used by another top-level statement
-    # under src/ (an import alone is no use), be in rootinv.__all__, or be wrapped by the tracer.
+    # A module-level function or class, public or private, must be used by another top-level
+    # statement under src/ (an import alone is no use), be in rootinv.__all__, or be wrapped by
+    # the tracer.
     traced = {attr for _, attrs, _ in _layers().values() for attr in attrs}
     users: dict[str, set] = {}  # name -> the top-level statements that read it
     defs = []
     for path in sorted(SRC.glob("*.py")):
         for i, node in enumerate(ast.parse(path.read_text()).body):
             here = (path.stem, i)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{node.name}", node.name, here))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):

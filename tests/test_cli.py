@@ -37,6 +37,8 @@ def run_cli(capsys, *argv):
         ),
         (("classgroup", "D", "5"), "classgroup_d5.json"),
         (("hilbert", "--ker", "1 2 -3"), "hilbert_ker_1_2_m3.json"),
+        (("info", "F4"), "info_f4.json"),
+        (("info", "D5"), "info_d5.json"),
     ],
 )
 def test_golden_outputs(capsys, argv, fname):

@@ -10,8 +10,11 @@ import pytest
 import sympy
 
 from rootinv import cli, rootsystem
-from rootinv.errors import InvalidRank
+from rootinv.classgroup import class_group
+from rootinv.errors import DimensionMismatch, InvalidRank
+from rootinv.reports import omega_expand, report
 from rootinv.rootsystem import RootSystemType, build
+from rootinv.weyl import orbit
 
 ALL_SMALL = (
     [("A", r) for r in range(1, 8)]
@@ -197,6 +200,35 @@ def test_weight_coords_round_trip():
         assert rs.pairing_with_simple(v) == m
 
 
+def test_ambient_helpers_refuse_a_vector_of_another_dimension():
+    rs = build("A", 2)  # in R^3
+    for helper in (rs.pairing_with_simple, rs.alpha_coords, rs.span_component):
+        with pytest.raises(DimensionMismatch, match="A2 lives in dimension 3, not 2"):
+            helper((1, 0))
+    with pytest.raises(DimensionMismatch):
+        orbit(rs, (1, 0, 0, 0))
+
+
+def _dot(u, v):
+    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+
+
+@pytest.mark.parametrize("fam,rank", ALL_SMALL)
+def test_ambient_helpers_match_the_fraction_formulas(fam, rank):
+    rs = _build(fam, rank)
+    alphas = rs.simple_roots
+    for k in range(3):  # rational vectors off the root span and off the weight lattice
+        v = tuple(Fraction((3 * k + 5 * i) % 7 - 3, 1 + (i + k) % 3) for i in range(rs.ambient_dim))
+        pair = tuple(2 * _dot(v, a) / _dot(a, a) for a in alphas)
+        assert rs.pairing_with_simple(v) == pair
+        c = rs.alpha_coords(v)
+        span = _from_alpha_coords(rs, c)
+        assert rs.span_component(v) == span
+        assert all(_dot([x - y for x, y in zip(v, span)], a) == 0 for a in alphas)  # v - span is orthogonal
+        weights = [[Fraction(x) * mi for x in w] for mi, w in zip(pair, rs.fundamental_weights_ambient)]
+        assert rs.from_weight_coords(pair) == tuple(sum(col) for col in zip(*weights)) == span
+
+
 # the highest root in the simple-root basis (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, planches I-IX)
 HIGHEST_ROOT = {
     "A": lambda n: (1,) * n,
@@ -234,6 +266,25 @@ def test_build_checks_the_root_count(monkeypatch, capsys):
         build("E", 6)
     assert cli.main(["info", "E6"]) == 1
     assert "71 roots" in capsys.readouterr().err
+
+
+def test_build_checks_the_order_formula_against_macdonald(monkeypatch, capsys):
+    monkeypatch.setattr(rootsystem, "factorial", lambda n: 1)  # |W(E6)| = 6! * 3 * 24 becomes 72
+    message = r"E6: n! \|P/Q\| prod\(m_i\) = 72, but prod \(ht\(beta\) \+ 1\) / ht\(beta\) = 51840"
+    with pytest.raises(AssertionError, match=message):
+        build("E", 6)
+    assert cli.main(["info", "E6"]) == 1
+    assert "51840" in capsys.readouterr().err
+
+
+def test_the_cli_paths_build_no_fraction_view():
+    rs = build("E", 7)
+    report(rs)
+    class_group(rs, cap=0)
+    omega_expand(rs, (1, 0, 0, 0, 0, 0, 0))
+    assert {"roots", "simple_roots", "fundamental_weights_ambient"}.isdisjoint(vars(rs))
+    rs.roots  # read once, a view is kept
+    assert "roots" in vars(rs)
 
 
 def test_roots_closed_under_simple_reflections():

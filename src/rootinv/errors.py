@@ -29,6 +29,12 @@ class NotInvolution(RootinvError):
     """Cohomology of a cyclic group of order 2 requires an order-2 element."""
 
 
+# Default caps of the resource limits below; the CLI parser reads them without loading numpy.
+DEFAULT_ORBIT_CAP = 10_000_000
+DEFAULT_GROUP_CAP = 4_000_000
+DEFAULT_BOX_CAP = 10_000_000
+
+
 class OrbitCapExceeded(RootinvError):
     """Orbit BFS grew beyond the configured cap."""
 

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
+from .errors import DEFAULT_BOX_CAP, BoxCapExceeded, DimensionMismatch, FrontierCapExceeded
 from .intlinalg import IntMatrix, IntVec, cokernel_invariant_factors, integer_kernel, smith_normal_form
-from .rootsystem import RootSystem
 
-DEFAULT_BOX_CAP = 10_000_000
+if TYPE_CHECKING:
+    from .rootsystem import RootSystem
+
 DEFAULT_FRONTIER_CAP = 2_000_000
 _BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this

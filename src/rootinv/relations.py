@@ -30,10 +30,14 @@ from dataclasses import dataclass, field
 from importlib import resources
 from math import comb
 from operator import eq, mul, sub
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, FiberCapExceeded
 from .intlinalg import IntVec
 from .monoids import graded_lex_sorted
+
+if TYPE_CHECKING:
+    from .reports import InvariantReport
 
 DEFAULT_FIBER_CAP = 2_000_000
 
@@ -330,10 +334,51 @@ class RelationFixture:
         return tuple(sorted(out, key=lambda r: (r.degree(), r.plus, r.minus)))
 
 
+# Shipped relation fixtures, keyed by type name.
+_FIXTURES = {"A2": "a2", "A3": "a3_magma", "E6": "e6_magma"}
+
+
 def load_fixture(name: str) -> RelationFixture:
     """Load a named fixture shipped with the package."""
     text = resources.files("rootinv.fixtures").joinpath(f"{name}.relations").read_text()
     return parse_fixture(name, text)
+
+
+def _relations_block(type_name: str, rep: InvariantReport, degree_bound: int | None) -> dict:
+    """Binomial relations of the generators up to a degree bound, against the shipped fixture.
+
+    The generators are the residual's Hilbert basis, or else the full one.  As
+    M = Z+^free x M_res, the residual's basis is the basis elements that vanish
+    on the free coordinates, projected onto the others.  The default bound is
+    the fixture's highest relation degree (3 without a fixture).  Equivalence
+    is claimed only at a bound that reaches every fixture relation.
+    """
+    name = _FIXTURES.get(type_name)
+    fixture = load_fixture(name) if name else None
+    top = max(r.degree() for r in fixture.relations) if fixture else 3
+    bound = degree_bound or top
+    free = rep.free_coordinates if rep.residual is not None else ()
+    basis = graded_lex_sorted(
+        tuple(x for i, x in enumerate(h) if i not in free)
+        for h in rep.hilbert_basis
+        if not any(h[i] for i in free)
+    )
+    rels = relations_bounded(basis, bound)
+    block = {
+        "degree_bound": bound,
+        "generators": [list(v) for v in basis],
+        "binomials": [r.format() for r in rels],
+        "count": len(rels),
+    }
+    if fixture:
+        fx = fixture.relabeled(basis)
+        block["fixture"] = {
+            "name": name,
+            "relation_count": len(fx),
+            "equivalent": bound >= top and relations_equivalent(rels, fx, basis, bound),
+            "all_relations_verify": all(verify_relation(basis, r) for r in fx),
+        }
+    return block
 
 
 def parse_fixture(name: str, text: str) -> RelationFixture:

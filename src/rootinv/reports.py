@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import prod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .classgroup import class_group
-from .errors import InvalidRank
+from .errors import DEFAULT_BOX_CAP, DEFAULT_ORBIT_CAP, InvalidRank
 from .intlinalg import IntVec, smith_normal_form
-from .laurent import LaurentPoly, alpha_ring, orbit_sum_weight_coords
 from .monoids import (
-    DEFAULT_BOX_CAP,
     CongruenceMonoid,
     HilbertBasis,
     family_monoid,
@@ -31,7 +29,9 @@ from .monoids import (
     split_free_part,
 )
 from .rootsystem import RootSystem, RootSystemType, build
-from .weyl import DEFAULT_ORBIT_CAP
+
+if TYPE_CHECKING:
+    from .laurent import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -319,6 +319,8 @@ def fundamental_orbit_sums(rs: RootSystem, m: IntVec, orbit_cap: int, sums: dict
 
     Raises OrbitCapExceeded when an orbit passes orbit_cap; the sums made before it stay.
     """
+    from .laurent import alpha_ring, orbit_sum_weight_coords  # only expansions load the Laurent layer
+
     ring = alpha_ring(rs)
     for i, e in enumerate(m):
         if e and i not in sums:
@@ -333,6 +335,8 @@ def omega_expand(
     orbit_sums, if given, holds the fundamental orbit sums o(w_i) by i: a sum
     missing from it is computed and added, so calls that share it compute each once.
     """
+    from .laurent import LaurentPoly, alpha_ring
+
     sums = {} if orbit_sums is None else orbit_sums
     fundamental_orbit_sums(rs, m, orbit_cap, sums)
     out = None

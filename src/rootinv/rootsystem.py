@@ -182,13 +182,21 @@ def _simple_roots(t: RootSystemType) -> np.ndarray:
     return np.array(rows)
 
 
+def _weight(cartan_rows, m: Sequence) -> tuple:
+    """m as a tuple, after checking that it has one coordinate per simple root."""
+    m = tuple(m)
+    if len(m) != len(cartan_rows):
+        raise DimensionMismatch(f"weight of length {len(m)}, expected {len(cartan_rows)}")
+    return m
+
+
 def dominant(cartan_rows, m: Sequence) -> tuple:
     """The dominant point of the W-orbit of m, given in weight coordinates.
 
     s_i acts by m_j -> m_j - m_i * cartan[j][i].  Reflecting in a negative
     coordinate adds -m_i * alpha_i, so the point rises until it is dominant.
     """
-    m = tuple(m)
+    m = _weight(cartan_rows, m)
     while any(x < 0 for x in m):
         i = next(i for i, x in enumerate(m) if x < 0)
         mi = m[i]
@@ -207,7 +215,7 @@ def orbit_tree(cartan_rows, top: Sequence) -> Iterator[tuple]:
     than the children of the points it has seen.
     """
     cols = tuple(zip(*cartan_rows))
-    level = [tuple(top)]
+    level = [_weight(cartan_rows, top)]
     while level:
         children = []
         for mu in level:

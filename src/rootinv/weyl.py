@@ -25,12 +25,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
+from .errors import DEFAULT_GROUP_CAP, DEFAULT_ORBIT_CAP, GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from .intlinalg import RatVector
 from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
 
-DEFAULT_ORBIT_CAP = 10_000_000
-DEFAULT_GROUP_CAP = 4_000_000
 _BLOCK = 1 << 18  # traces one step of the reflection scan forms at once; bounds its memory
 
 

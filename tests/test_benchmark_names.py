@@ -36,9 +36,10 @@ def test_every_traced_layer_resolves():
 
 def test_every_public_definition_is_reached():
     # A module-level function or class, public or private, must be used by another top-level
-    # statement under src/ (an import alone is no use), be in rootinv.__all__, or be wrapped by
-    # the tracer.
+    # statement under src/ (an import alone is no use), be in rootinv.__all__, be wrapped by
+    # the tracer, or be a module hook that the interpreter calls (PEP 562).
     traced = {attr for _, attrs, _ in _layers().values() for attr in attrs}
+    hooks = {"__getattr__", "__dir__"}
     users: dict[str, set] = {}  # name -> the top-level statements that read it
     defs = []
     for path in sorted(SRC.glob("*.py")):
@@ -54,6 +55,6 @@ def test_every_public_definition_is_reached():
     unreached = [
         qualname
         for qualname, name, here in defs
-        if not users.get(name, set()) - {here} and name not in rootinv.__all__ and name not in traced
+        if not users.get(name, set()) - {here} and name not in rootinv.__all__ and name not in traced | hooks
     ]
     assert unreached == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootinv import classgroup, cli, intlinalg, monoids
+from rootinv import classgroup, cli, intlinalg, monoids, relations, reports, selfcheck
 from rootinv.errors import GroupCapExceeded
 from rootinv.monoids import Congruence, CongruenceMonoid, graded_lex_sorted, hilbert_basis_box
 from rootinv.reports import report
@@ -400,7 +400,7 @@ def test_degree_bound_needs_relations(capsys):
 
 
 def test_selfcheck_weyl_order_honours_the_group_cap():
-    checks = dict(cli._selfcheck_list(False, 1000))
+    checks = dict(selfcheck._selfcheck_list(False, 1000))
     with pytest.raises(GroupCapExceeded, match="exceeds cap 1000"):
         checks["weyl-order-e6"]()
 
@@ -412,7 +412,7 @@ def test_selfcheck_builds_each_type_once(capsys, monkeypatch):
         built.append(t)
         return build(t)
 
-    monkeypatch.setattr(cli, "build", counting)
+    monkeypatch.setattr(selfcheck, "build", counting)
     code, out = run_cli(capsys, "selfcheck")
     assert code == 0 and out.endswith("selfcheck: 15 passed, 0 failed\n")
     assert len(built) == len(set(built)) == 39
@@ -477,7 +477,7 @@ def test_relation_generators_are_the_residual_basis(name):
         rep = report(build(name))
     assert rep.residual is not None
     want = graded_lex_sorted(hilbert_basis_box(rep.residual))
-    assert cli._relations_block(name, rep, 1)["generators"] == [list(v) for v in want]
+    assert relations._relations_block(name, rep, 1)["generators"] == [list(v) for v in want]
 
 
 # The streamed writer against json.dumps.  A drawn document comes as (lazy, plain): the lazy
@@ -573,7 +573,7 @@ def test_expansions_rendered_in_pieces_are_the_whole_document(capsys, monkeypatc
 
 
 def test_a_failure_after_the_first_expansion_exits_1_with_its_message(capsys, monkeypatch):
-    expand, made = cli.omega_expand, []
+    expand, made = reports.omega_expand, []
 
     def failing(*args):
         if made:
@@ -581,7 +581,7 @@ def test_a_failure_after_the_first_expansion_exits_1_with_its_message(capsys, mo
         made.append(args)
         return expand(*args)
 
-    monkeypatch.setattr(cli, "omega_expand", failing)
+    monkeypatch.setattr(reports, "omega_expand", failing)
     code = cli.main(["invariants", "A", "2", "--expand"])
     captured = capsys.readouterr()
     assert code == 1

@@ -20,8 +20,8 @@ from rootinv.laurent import (
     orbit_sum_weight_coords,
     render,
 )
-from rootinv.rootsystem import build
-from rootinv.weyl import orbit, simple_reflections
+from rootinv.rootsystem import build, dominant, orbit_tree
+from rootinv.weyl import orbit, orbit_weight_coords, simple_reflections
 
 
 def _orbit_sum_ambient(rs, v, ring: ExponentLattice) -> LaurentPoly:
@@ -109,6 +109,21 @@ def test_orbit_sum_rejects_non_weight():
     bad = tuple(Fraction(1, 7) * x for x in rs.simple_roots[0])
     with pytest.raises(DimensionMismatch):
         orbit_sum(rs, bad)
+
+
+@pytest.mark.parametrize("m", [(1,), (1, 0, 0)])
+@pytest.mark.parametrize(
+    "walk",
+    [
+        orbit_sum_weight_coords,
+        orbit_weight_coords,
+        lambda rs, m: dominant(rs.cartan.rows, m),
+        lambda rs, m: list(orbit_tree(rs.cartan.rows, m)),
+    ],
+)
+def test_weights_of_the_wrong_length_are_rejected(walk, m):
+    with pytest.raises(DimensionMismatch, match=f"weight of length {len(m)}, expected 2"):
+        walk(build("A2"), m)
 
 
 def test_orbit_sums_are_invariant():

@@ -6,13 +6,16 @@ completion procedure for kernels of integer rows, run one total degree at a
 time on integer arrays.  They are used to cross-check each other in the
 test suite.
 
-One boolean box mask feeds the cells, the box basis and the partition check.
-In M = L cap Z+^n, a <= v in M puts v - a in M, so the basis's box points are
-the minimal nonzero ones: no other nonzero monoid point lies below them.
+One boolean box mask feeds the cells and the box basis.  In M = L cap Z+^n,
+a <= v in M puts v - a in M, so the basis's box points are the minimal nonzero
+ones: no other nonzero monoid point lies below them.  The cells are checked
+without that mask, by a count over congruence residues that lists no point:
+degree by degree on the box, and in total on the grids of the partition check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -29,7 +32,7 @@ DEFAULT_FRONTIER_CAP = 2_000_000
 _BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 _MAX_AXES = 32  # numpy's flat and multi-array iterators take at most this many axes
-_SLAB = 1 << 18  # grid points verify_cell_partition scans at once, or one period of axis 0 if more
+_MAX_DEGREE = 10_000  # the largest degree bound up to which a one-row completion is run
 
 
 @dataclass(frozen=True)
@@ -147,32 +150,23 @@ def parse_instance(text: str) -> CongruenceMonoid | KernelInstance:
     return CongruenceMonoid(dim, tuple(congs))
 
 
-def _check_cap(sizes: Sequence[int], box_cap: int, what: str, knob: str) -> None:
-    """Raise BoxCapExceeded, naming what was scanned and the knob that raises the cap, when
-    prod [0, s_i) has more than box_cap points."""
-    size = prod(sizes)
-    if size > box_cap:
-        raise BoxCapExceeded(f"{what} has {size} points, box cap is {box_cap}; raise it with {knob}")
+def _box_mask(m: CongruenceMonoid, box_cap: int) -> np.ndarray:
+    """Boolean mask of the monoid points of the box prod [0, z_i), after cap checks that
+    allocate nothing.
 
-
-def _box_mask(
-    m: CongruenceMonoid, sizes: Sequence[int], box_cap: int, what: str, knob: str, start: int = 0
-) -> np.ndarray:
-    """Boolean mask of the monoid points of prod [0, s_i), with axis 0 shifted to [start,
-    start + s_0), after cap checks that allocate nothing.
-
-    The mask has only the axes of size above 1 (see _box_points), and axis 0
-    when start is not 0: an axis of size 1 at 0 adds nothing to a residue.
-    Residues are outer sums of a_i * x mod m in the smallest unsigned type that
-    holds 2m (one byte per point for m < 128): dividing a congruence by
-    gcd(m, a_1, ..., a_n) makes m the lcm of its per-axis orders, which divides
-    prod(z) for the generator orders z; that product is capped here when the
-    sizes are z, and otherwise by the box scan that the caller runs first.
+    The mask has only the axes of generator order above 1 (see _box_points): an
+    axis of order 1 adds nothing to a residue.  Residues are outer sums of
+    a_i * x mod m in the smallest unsigned type that holds 2m (one byte per
+    point for m < 128): dividing a congruence by gcd(m, a_1, ..., a_n) makes m
+    the lcm of its per-axis orders, which divides the capped volume prod(z).
     """
-    _check_cap(sizes, box_cap, what, knob)
-    long = [k for k, s in enumerate(sizes) if s > 1 or (k == 0 and start)]
+    z = m.generator_orders()
+    size = prod(z)
+    if size > box_cap:
+        raise BoxCapExceeded(f"box has {size} points, box cap is {box_cap}; raise it with --box-cap")
+    long = [k for k, s in enumerate(z) if s > 1]
     if len(long) > _MAX_AXES:
-        raise BoxCapExceeded(f"{what} has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
+        raise BoxCapExceeded(f"box has {len(long)} axes longer than 1, the box scan handles at most {_MAX_AXES}")
     mask = None  # the first congruence's zero test is the mask, so no all-true mask is held beside it
     for c in m.congruences:
         g = gcd(c.modulus, *c.coeffs)
@@ -180,25 +174,25 @@ def _box_mask(
         dtype = np.min_scalar_type(2 * mod)  # holds the sum of two residues
         res = np.zeros((), dtype=dtype)
         for k in long:
-            a, s, x0 = c.coeffs[k] // g, sizes[k], start if k == 0 else 0
-            res = np.add.outer(res, np.fromiter((a * x % mod for x in range(x0, x0 + s)), dtype, s))
+            a = c.coeffs[k] // g
+            res = np.add.outer(res, np.fromiter((a * x % mod for x in range(z[k])), dtype, z[k]))
             np.remainder(res, mod, out=res)
         hit = np.asarray(res == 0)  # an array also when no axis is long
         mask = hit if mask is None else np.logical_and(mask, hit, out=mask)
-    return np.ones(tuple(sizes[k] for k in long), dtype=bool) if mask is None else mask
+    return np.ones(tuple(z[k] for k in long), dtype=bool) if mask is None else mask
 
 
-def _box_points(mask: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-    """The points of a _box_mask over sizes, in lex order, with all len(sizes) coordinates."""
-    pts = np.zeros((int(mask.sum()), len(sizes)), dtype=np.int64)
-    pts[:, [k for k, s in enumerate(sizes) if s > 1]] = np.argwhere(mask)
+def _box_points(mask: np.ndarray, z: Sequence[int]) -> np.ndarray:
+    """The points of a _box_mask over the generator orders z, in lex order, with all len(z) coordinates."""
+    pts = np.zeros((int(mask.sum()), len(z)), dtype=np.int64)
+    pts[:, [k for k, s in enumerate(z) if s > 1]] = np.argwhere(mask)
     return pts
 
 
 def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
     """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
     z = m.generator_orders()
-    pts = _box_points(_box_mask(m, z, box_cap, "box", "--box-cap"), z)
+    pts = _box_points(_box_mask(m, box_cap), z)
     pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
     return tuple(map(tuple, pts.tolist()))
 
@@ -211,7 +205,7 @@ def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> Hi
     a <= v, that is, when no nonzero monoid point lies below any v - e_i.
     """
     z = m.generator_orders()
-    mask = _box_mask(m, z, box_cap, "box", "--box-cap")
+    mask = _box_mask(m, box_cap)
     mask.flat[0] = False  # the origin
     below = mask.copy()  # below[v]: some nonzero monoid point a <= v
     for axis in range(mask.ndim):
@@ -253,9 +247,18 @@ def hilbert_basis_kernel(
     cannot dominate each other, so a degree's solutions join the basis as
     they are, and the final sweep only checks minimality.
     Values are int64 while a per-degree bound shows that they fit, and Python
-    ints otherwise.  frontier_cap bounds the points of one degree.
+    ints otherwise.  frontier_cap bounds the points of one degree.  The minimal
+    solutions of one row a have degree at most max a+ + max |a-| (Lambert,
+    1987), which for a / gcd(a) past _MAX_DEGREE is refused before the first degree.
     """
     rows = [inst.coeffs] if isinstance(inst, KernelInstance) else [tuple(int(x) for x in r) for r in inst]
+    if len(rows) == 1:
+        bound = (max(0, *rows[0]) - min(0, *rows[0])) // (gcd(*rows[0]) or 1)
+        if bound > _MAX_DEGREE:
+            raise FrontierCapExceeded(
+                f"the row's minimal solutions may reach degree {bound} (max a+ + max |a-| over the row's gcd), "
+                f"past the limit of {_MAX_DEGREE}"
+            )
     a = np.array(rows, dtype=object)
     s = a.shape[1]
     # |A t| and |<A t, A e_i>| are at most deg(t) * growth
@@ -328,15 +331,49 @@ def split_free_part(m: CongruenceMonoid) -> tuple[tuple[int, ...], CongruenceMon
     return free, CongruenceMonoid(len(rest), congs)
 
 
+def _residue_sum(m: CongruenceMonoid, weights: Sequence[Sequence[int]]) -> int:
+    """Sum of prod w_i[r_i] over the monoid points r of the box prod [0, len(w_i)), listing none.
+
+    A dynamic program over the axes whose state is the tuple of residues
+    sum a_i r_i mod m, one per congruence, reached so far.  A state is the
+    image of a point in Z^dim / L, so there are at most lattice-index states,
+    and the index divides the box volume prod(z) that box_elements caps.  The
+    last axis only has to bring each state back to zero: one lookup a state.
+    """
+    mods = [c.modulus for c in m.congruences]
+    sums = {(0,) * len(mods): 1}
+    for i, w in enumerate(weights):
+        pushed: dict = {}  # the weights of axis i, by the residues they add
+        for x, wx in enumerate(w):
+            step = tuple(c.coeffs[i] * x % c.modulus for c in m.congruences)
+            pushed[step] = pushed.get(step, 0) + wx
+        if i == len(weights) - 1:
+            back = (tuple(-r % n for r, n in zip(state, mods)) for state in sums)
+            return sum(acc * pushed.get(key, 0) for acc, key in zip(sums.values(), back))
+        nxt: dict = {}
+        for state, acc in sums.items():
+            for step, wx in pushed.items():
+                key = tuple((r + d) % n for r, d, n in zip(state, step, mods))
+                nxt[key] = nxt.get(key, 0) + acc * wx
+        sums = nxt
+    return 1  # dimension 0: the origin alone, with the empty product of weights
+
+
 def hironaka_cells(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[IntVec, ...]:
     """Coset representatives for the free decomposition of the monoid.
 
     These are exactly the box points; the monoid is the disjoint union of
-    translates cell + sum Z+ (z_i e_i).
+    translates cell + sum Z+ (z_i e_i).  Their degree histogram, the numerator
+    of the Hilbert series sum_c t^|c| / prod (1 - t^z_i), is checked against
+    the residue count: with weights b^x for a base b = 2^e above every count,
+    that count is the box's histogram written in base b.
     """
     cells = box_elements(m, box_cap)
-    if len(cells) * m.lattice_index() != prod(m.generator_orders()):
-        raise AssertionError("cell count times lattice index must equal the box volume")
+    z = m.generator_orders()
+    e = prod(z).bit_length()
+    histogram = sum(k << e * d for d, k in Counter(map(sum, cells)).items())
+    if histogram != _residue_sum(m, [[1 << e * x for x in range(zi)] for zi in z]):
+        raise AssertionError("the cells' degree histogram differs from the box's")
     return cells
 
 
@@ -355,40 +392,27 @@ def toric_class_group(m: CongruenceMonoid) -> IntVec:
 
 
 def verify_cell_partition(m: CongruenceMonoid, bound: int, box_cap: int = DEFAULT_BOX_CAP) -> int:
-    """Exhaustively check the free decomposition on all elements with coords <= bound.
+    """Check the free decomposition on all elements with coords <= bound, listing none of them.
 
-    Every monoid element must reduce (componentwise mod the generator orders)
-    to exactly one cell, and distinct cells must stay distinct.  Returns the
-    number of elements checked; raises AssertionError on any violation, and
-    BoxCapExceeded before allocating a grid of more than box_cap points.
+    The cells must be distinct monoid points of the box prod [0, z_i).  Their
+    translates by sum Z+ z_i e_i are then disjoint sets of monoid points, and
+    the cell c meets the grid [0, bound]^dim in prod w_i[c_i] points, where
+    w_i[r] counts the x in [0, bound] with x = r mod z_i.  The cells partition
+    the grid's monoid points exactly when these counts add up to the residue
+    count of the grid.  Returns the number of monoid points in the grid;
+    raises AssertionError on any violation, and BoxCapExceeded when the box
+    of the cells has more than box_cap points.
     """
     cells = hironaka_cells(m, box_cap)
     if len(set(cells)) != len(cells):
         raise AssertionError("cells are not distinct")
     z = m.generator_orders()
-    is_cell = np.zeros(z, dtype=bool)
-    is_cell[tuple(np.array(cells).T)] = True
-    shape = (bound + 1,) * m.dim
-    what, knob = "cell-partition grid", "verify_cell_partition's box_cap argument"
-    _check_cap(shape, box_cap, what, knob)
-    # the grid is scanned in slabs along axis 0 that start at multiples of z_0, so that
-    # each slab folds onto the box like the whole grid would
-    rows, z0 = (bound + 1, z[0]) if m.dim else (1, 1)  # a 0-dimensional grid is one point
-    height = max(z0, _SLAB // prod(shape[1:]) // z0 * z0)
-    hit = np.zeros(z, dtype=bool)
-    checked = 0
-    for start in range(0, rows, height):
-        slab = (min(height, rows - start), *shape[1:])[: m.dim]
-        grid = _box_mask(m, slab, box_cap, what, knob, start).reshape(slab)
-        checked += int(grid.sum())
-        for axis, zi in enumerate(z):  # fold the slab onto the box: hit[r] |= any grid[r + k z]
-            grid = np.pad(grid, [(0, -n % zi if k == axis else 0) for k, n in enumerate(grid.shape)])
-            grid = grid.reshape(grid.shape[:axis] + (-1, zi) + grid.shape[axis + 1 :]).any(axis=axis)
-        hit |= grid
-    stray = np.argwhere(hit & ~is_cell)
-    if len(stray):
-        raise AssertionError(f"residue {tuple(stray[0].tolist())} is not a cell")
-    if bound >= max(z, default=1) - 1 and (hit != is_cell).any():
-        raise AssertionError("some cell received no element despite exhaustive bound")
-    return checked
-
+    for c in cells:
+        if not (m.contains(c) and all(x < zi for x, zi in zip(c, z))):
+            raise AssertionError(f"cell {c} is not a monoid point of the box")
+    weights = [[len(range(r, bound + 1, zi)) for r in range(zi)] for zi in z]
+    covered = sum(prod(w[x] for w, x in zip(weights, c)) for c in cells)
+    total = _residue_sum(m, weights)
+    if covered != total:
+        raise AssertionError(f"the cells cover {covered} of the {total} monoid points with coordinates <= {bound}")
+    return total

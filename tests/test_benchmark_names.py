@@ -35,7 +35,7 @@ def test_every_traced_layer_resolves():
 
 
 def test_every_public_definition_is_reached():
-    # A module-level function or class, public or private, must be used by another top-level
+    # A module-level function, class or constant, public or private, must be used by another top-level
     # statement under src/ (an import alone is no use), be in rootinv.__all__, be wrapped by
     # the tracer, or be a module hook that the interpreter calls (PEP 562).
     traced = {attr for _, attrs, _ in _layers().values() for attr in attrs}
@@ -47,6 +47,9 @@ def test_every_public_definition_is_reached():
             here = (path.stem, i)
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{path.stem}.{node.name}", node.name, here))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):  # a module-level constant
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs += [(f"{path.stem}.{t.id}", t.id, here) for t in targets if isinstance(t, ast.Name)]
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name):
                     users.setdefault(sub.id, set()).add(here)

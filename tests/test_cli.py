@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import nullcontext, redirect_stdout
 from math import comb
 from pathlib import Path
@@ -234,6 +237,22 @@ def test_hilbert_monoid_modulus_beyond_int64(capsys, tmp_path):
     code, out = run_cli(capsys, "hilbert", "--monoid", str(path))
     assert code == 0
     assert json.loads(out)["payload"]["basis"] == [[0, 1], [2, 0]]
+
+
+def test_hilbert_refuses_a_row_of_too_high_a_degree_bound():
+    # Lambert's bound is 2 + (10^20 - 1): run, the completion would not end
+    proc = subprocess.run(
+        [sys.executable, "-m", "rootinv.cli", "hilbert", "--ker", "1 2 -99999999999999999999"],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},  # finds rootinv as we do
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: the row's minimal solutions may reach degree 100000000000000000001 (max a+ + max |a-| "
+        "over the row's gcd), past the limit of 10000\n"
+    )
 
 
 def test_classgroup_fallback(capsys):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 import tracemalloc
 
 import pytest
@@ -173,7 +172,7 @@ def test_verify_cell_partition_small():
 
 def test_verify_cell_partition_folds_the_grid_in_bounded_memory():
     # C6 at bound 10: 11^6 = 1,771,561 grid points; (points x 6) int64 arrays of the
-    # 886,446 monoid points among them need about 96 MB.
+    # 886,446 monoid points among them need about 96 MB, and the residue count lists none.
     m = family_monoid(build("C", 6))
     tracemalloc.start()
     try:
@@ -186,46 +185,30 @@ def test_verify_cell_partition_folds_the_grid_in_bounded_memory():
 
 
 def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
-    # C6 at bound 10: in int64 the residues of the 11^6-point grid took 14 MB
-    m = family_monoid(build("C", 6))
+    # an 11^6-point box: in int64 its residues would take 14 MB
+    m = CongruenceMonoid(6, (Congruence((1,) * 6, 11),))
     tracemalloc.start()
     try:
-        mask = _box_mask(m, (11,) * 6, DEFAULT_BOX_CAP, "grid", "box_cap")
+        mask = _box_mask(m, DEFAULT_BOX_CAP)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert int(mask.sum()) == 886_446
+    assert mask.shape == (11,) * 6
+    assert int(mask.sum()) == 11**5
     assert peak < 4 * 11**6
-    # 2 * 301 needs two bytes
+    # 2 * 301 needs two bytes; the generator orders are 301 / gcd(7, 301) = 43 and 301
     m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
-    got = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box", "--box-cap")
-    assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(40)] for x in range(301)]
-
-
-def test_box_mask_shifts_axis_0_by_its_start():
-    m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
-    whole = _box_mask(m, (301, 40), DEFAULT_BOX_CAP, "box", "--box-cap")
-    for start, rows in [(5, 4), (299, 2), (3, 1), (0, 1)]:
-        got = _box_mask(m, (rows, 40), DEFAULT_BOX_CAP, "box", "--box-cap", start)
-        assert got.reshape(rows, 40).tolist() == whole[start : start + rows].tolist()
-
-
-def test_verify_cell_partition_checks_the_grid_cap_first():
-    # 11^4 = 14641 grid points; the box of D4 itself has only 16
-    message = (
-        "cell-partition grid has 14641 points, box cap is 1000;"
-        " raise it with verify_cell_partition's box_cap argument"
-    )
-    with pytest.raises(BoxCapExceeded, match=f"^{re.escape(message)}$"):
-        verify_cell_partition(family_monoid(build("D", 4)), 10, box_cap=1000)
+    got = _box_mask(m, DEFAULT_BOX_CAP)
+    assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(301)] for x in range(43)]
 
 
 @pytest.mark.parametrize(
     "cells,message",
     [
-        (((0, 0), (2, 2)), r"residue \(1, 1\) is not a cell"),
-        (((0, 0), (0, 1), (1, 1), (2, 2)), "some cell received no element"),
+        (((0, 0), (2, 2)), r"^the cells cover 18 of the 27 monoid points with coordinates <= 8$"),
+        (((0, 0), (0, 1), (1, 1), (2, 2)), r"^cell \(0, 1\) is not a monoid point of the box$"),
     ],
+    ids=["a-cell-missing", "a-stray-cell"],
 )
 def test_verify_cell_partition_rejects_wrong_cells(monkeypatch, cells, message):
     # the cells of A2 are (0, 0), (1, 1), (2, 2)
@@ -234,17 +217,39 @@ def test_verify_cell_partition_rejects_wrong_cells(monkeypatch, cells, message):
         verify_cell_partition(a_monoid(3), 8)
 
 
-@pytest.mark.parametrize("slab", [1, 2, 60])
-def test_verify_cell_partition_is_the_same_in_slabs(monkeypatch, slab):
-    # slabs of one period of axis 0 (z_0 = 3 for A2, 2 for D4 and C3, so D4's last slab is
-    # one row), and at 60 points A2's 9-point rows go in slabs of 6 rows and then 3
-    cases = [(a_monoid(3), 8), (family_monoid(build("D", 4)), 6), (family_monoid(build("C", 3)), 5)]
-    want = [verify_cell_partition(m, bound) for m, bound in cases]
-    monkeypatch.setattr(monoids, "_SLAB", slab)
-    assert [verify_cell_partition(m, bound) for m, bound in cases] == want
-    monkeypatch.setattr("rootinv.monoids.hironaka_cells", lambda m, box_cap: ((0, 0), (2, 2)))
-    with pytest.raises(AssertionError, match=r"^residue \(1, 1\) is not a cell$"):
-        verify_cell_partition(a_monoid(3), 8)
+def test_hironaka_cells_checks_each_degree(monkeypatch):
+    # (1, 0) for (2, 2) keeps A2's count of 3 cells, but moves one from degree 4 to degree 1
+    monkeypatch.setattr("rootinv.monoids.box_elements", lambda m, box_cap: ((0, 0), (1, 1), (1, 0)))
+    with pytest.raises(AssertionError, match="^the cells' degree histogram differs from the box's$"):
+        hironaka_cells(a_monoid(3))
+
+
+def test_the_cell_checks_scan_the_box_once(monkeypatch):
+    calls = []
+
+    def counted(m, box_cap):
+        calls.append(m)
+        return _box_mask(m, box_cap)
+
+    monkeypatch.setattr(monoids, "_box_mask", counted)
+    for m in (a_monoid(3), family_monoid(build("D", 5))):
+        for check in (hironaka_cells, lambda m: verify_cell_partition(m, 7)):
+            calls.clear()
+            check(m)
+            assert calls == [m]
+
+
+def test_verify_cell_partition_lists_no_grid_point():
+    # [0, 10^6]^6: N values an axis, E of them even and O odd; C6 asks for x1 + x3 + x5 even
+    n, even, odd = 10**6 + 1, 500_001, 500_000
+    tracemalloc.start()
+    try:
+        checked = verify_cell_partition(family_monoid(build("C", 6)), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert checked == n**3 * (even**3 + 3 * even * odd**2)
+    assert peak < 2**20
 
 
 def test_toric_class_groups():

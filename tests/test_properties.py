@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import prod
+from math import gcd, prod
 from unittest.mock import patch
 
 import numpy as np
@@ -26,6 +26,7 @@ from rootinv.monoids import (
     hilbert_basis_box,
     hilbert_basis_kernel,
     parse_instance,
+    verify_cell_partition,
 )
 from rootinv.relations import Binomial, parse_binomial, relations_bounded, relations_equivalent, verify_relation
 from rootinv.reports import report_A
@@ -244,6 +245,26 @@ def test_frontier_cap_is_the_widest_degree():
     )
     with pytest.raises(FrontierCapExceeded, match=message):
         hilbert_basis_kernel(inst, frontier_cap=cap)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(lambda r: min(r) < 0 < max(r)))
+def test_one_row_basis_degrees_are_at_most_lamberts_bound(row):
+    g = gcd(*row)
+    bound = max(row) // g + max(-x for x in row) // g
+    assert max(map(sum, hilbert_basis_kernel(KernelInstance(tuple(row))))) <= bound
+
+
+@settings(deadline=None)
+@given(congruence_monoids(), st.integers(-1, 6))
+@example(CongruenceMonoid(2, (Congruence((1, 2), 3),)), -1)
+@example(CongruenceMonoid(0, (Congruence((), 2),)), -1)
+@example(CongruenceMonoid(0, ()), 0)
+@example(CongruenceMonoid(3, (Congruence((1, 1, 0), 2),)), 0)
+def test_verify_cell_partition_counts_the_grid(m, bound):
+    assume((bound + 1) ** m.dim <= 4096 and prod(m.generator_orders()) <= 20_000)
+    grid = product(range(bound + 1), repeat=m.dim)
+    assert verify_cell_partition(m, bound) == sum(map(m.contains, grid))
 
 
 # Relation fibers: the move index against the all-pairs loop it replaced.

@@ -8,9 +8,11 @@ A polynomial is a lexicographically sorted exponent array (T, dim) with a
 coefficient array (T,).  Products, sums and Weyl actions pack each exponent
 row into one mixed-radix key whose order is lex order, sort the keys and
 add the coefficients of equal keys; a product does so one band of output
-keys at a time (see _combine_products).  The arrays are int64 when
-every key, exponent and coefficient sum provably fits, and otherwise the
-same code runs on Python ints (`dtype=object`).
+keys at a time (see _combine_products).  Keys and coefficients are int64
+when every key, exponent and coefficient sum provably fits, and the
+exponents then take the narrowest signed type that holds their box; keys
+are packed from and unpacked into them _ROWS rows at a time.  Otherwise
+the same code runs on Python ints (`dtype=object`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ Exponent = tuple[int, ...]
 
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 _BLOCK = 1 << 14  # term pairs in one band of a product (at least 4 per row); bounds its working memory
-_ROWS = 1 << 12  # terms render formats at once; bounds its working memory
+_ROWS = 1 << 12  # terms packed, unpacked or rendered at once; bounds their working memory
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,9 @@ class _Radix:
 
     `dtype` is int64 when every key, every value in `bounds` and every
     coefficient up to `coeff_bound` fits in int64, and object otherwise.
+    `exp_dtype`, the type of the unpacked rows, is then the narrowest signed
+    type that also holds the negation of every exponent in the box, so np.abs
+    never wraps on them.
     """
 
     def __init__(self, lo: list[int], hi: list[int], coeff_bound: int, bounds: Iterable[int] = ()):
@@ -78,18 +83,26 @@ class _Radix:
         fits = prod(self.widths) < _INT64 and coeff_bound < _INT64
         fits = fits and all(-_INT64 < v < _INT64 for v in (*lo, *hi, *bounds))
         self.dtype = np.dtype(np.int64 if fits else object)
+        self.exp_dtype = np.min_scalar_type(-max(map(abs, (*lo, *hi))) - 1) if fits else self.dtype
 
     def _row(self, values: list[int]) -> np.ndarray:
         return np.array(values, dtype=self.dtype)
 
     def keys(self, exps: np.ndarray, lo: list[int]) -> np.ndarray:
         """Keys of the rows of exps, offset by lo instead of self.lo (for factors of a product)."""
-        return (exps.astype(self.dtype) - self._row(lo)) @ self._row(self.strides)
+        out, lo, strides = np.empty(len(exps), dtype=self.dtype), self._row(lo), self._row(self.strides)
+        for i in range(0, len(exps), _ROWS):
+            out[i : i + _ROWS] = (exps[i : i + _ROWS].astype(self.dtype) - lo) @ strides
+        return out
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
-        out = keys[:, None] // self._row(self.strides)
-        out %= self._row(self.widths)
-        out += self._row(self.lo)
+        out, lo = np.empty((len(keys), len(self.lo)), dtype=self.exp_dtype), self._row(self.lo)
+        strides, widths = self._row(self.strides), self._row(self.widths)
+        for i in range(0, len(keys), _ROWS):
+            block = keys[i : i + _ROWS, None] // strides
+            block %= widths
+            block += lo
+            out[i : i + _ROWS] = block.astype(self.exp_dtype)  # assigning with a cast takes a 128 KB buffer
         return out
 
 
@@ -134,8 +147,9 @@ def _combine_products(ka: np.ndarray, ca: np.ndarray, kb: np.ndarray, cb: np.nda
     sample = np.sort(np.add.outer(sampled_rows, kb[::step_b]), axis=None)
     per_band = max(1, band // (step_a * step_b))
     first, last = ka[0] + kb[0], ka[-1] + kb[-1] + 1
-    edges = [k for k in np.unique(sample[per_band::per_band]).tolist() if first < k < last]
-    del sample
+    picks = sample[per_band::per_band]  # sorted, so deduplicated without np.unique (which loads numpy.ma)
+    edges = [k for k in picks[np.diff(picks, prepend=first) != 0].tolist() if first < k < last]
+    del sample, picks
     pending = [last, *reversed(edges)]  # upper band edges, the next one last
     k0, lo, row = first, np.zeros(len(ka), dtype=np.intp), np.arange(len(ka))
     keys, coeffs = [ka[:0]], [ca[:0]]
@@ -207,6 +221,8 @@ class LaurentPoly:
 
     def coefficient(self, exponent: Sequence[int]) -> int:
         e = tuple(int(x) for x in exponent)
+        if len(e) != self.ring.dim:
+            raise DimensionMismatch("exponent arity != ring dimension")
         rows = self._exps
         i = bisect_left(range(len(rows)), e, key=lambda k: tuple(rows[k].tolist()))
         return int(self._coeffs[i]) if i < len(rows) and tuple(rows[i].tolist()) == e else 0
@@ -233,10 +249,10 @@ class LaurentPoly:
         return LaurentPoly._new(self.ring, *_normal(exps, coeffs, bound))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._plus(other, 1)
+        return self._plus(other, 1) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self._plus(other, -1)
+        return self._plus(other, -1) if isinstance(other, LaurentPoly) else NotImplemented
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._new(self.ring, self._exps, -self._coeffs)
@@ -247,6 +263,8 @@ class LaurentPoly:
                 return LaurentPoly(self.ring)
             dtype = np.int64 if _abs_max(self._coeffs) * abs(other) < _INT64 else object
             return LaurentPoly._new(self.ring, self._exps, self._coeffs.astype(dtype) * other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         if self.is_zero() or other.is_zero():
             return LaurentPoly(self.ring)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
 
 DEFAULT_FRONTIER_CAP = 2_000_000
 _BLOCK = 1 << 16  # (point, basis element) pairs one dominance test forms at once; bounds its memory
+_ROWS = 1 << 12  # box points turned into tuples at once; bounds the lists held beside the tuples
 _INT64 = 2**63  # int64 holds exactly the integers of absolute value below this
 _MAX_AXES = 32  # numpy's flat and multi-array iterators take at most this many axes
 _MAX_DEGREE = 10_000  # the largest degree bound up to which a one-row completion is run
@@ -183,9 +185,12 @@ def _box_mask(m: CongruenceMonoid, box_cap: int) -> np.ndarray:
 
 
 def _box_points(mask: np.ndarray, z: Sequence[int]) -> np.ndarray:
-    """The points of a _box_mask over the generator orders z, in lex order, with all len(z) coordinates."""
-    pts = np.zeros((int(mask.sum()), len(z)), dtype=np.int64)
-    pts[:, [k for k, s in enumerate(z) if s > 1]] = np.argwhere(mask)
+    """The points of a _box_mask over the generator orders z, in lex order, with all len(z) coordinates,
+    in the smallest type that holds the orders."""
+    dtype = np.min_scalar_type(max(z, default=1))
+    pts = np.zeros((int(mask.sum()), len(z)), dtype=dtype)
+    # astype first: assigning with a cast takes a 128 KB buffer
+    pts[:, [k for k, s in enumerate(z) if s > 1]] = np.argwhere(mask).astype(dtype)
     return pts
 
 
@@ -193,8 +198,8 @@ def box_elements(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> tuple[I
     """Monoid points of the half-open fundamental box prod [0, z_i), in graded-lex order."""
     z = m.generator_orders()
     pts = _box_points(_box_mask(m, box_cap), z)
-    pts = pts[np.argsort(pts.sum(axis=1), kind="stable")]  # stable on lex rows: graded-lex
-    return tuple(map(tuple, pts.tolist()))
+    pts = pts[np.argsort(pts.sum(axis=1, dtype=np.int64), kind="stable")]  # stable on lex rows: graded-lex
+    return tuple(chain.from_iterable(map(tuple, pts[i : i + _ROWS].tolist()) for i in range(0, len(pts), _ROWS)))
 
 
 def hilbert_basis_box(m: CongruenceMonoid, box_cap: int = DEFAULT_BOX_CAP) -> HilbertBasis:

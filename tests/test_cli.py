@@ -92,6 +92,10 @@ def test_expand_a2(capsys):
         (("invariants", "C", "6", "--expand"), "059afe190f10489674601bfedd692885c266174e2f4113fbffc4dc9b29acb34b"),
         # scale 3, coefficients up to 8,640
         (("invariants", "E", "6", "--expand"), "67b5cb68a632956132c39982237a0c99f34d3f9cd85f2154ff658449d4919bbc"),
+        # scale 2; p5's 34,455 terms come from banded products
+        (("invariants", "C", "7", "--expand"), "a1084a4a065e7853dfa5590caf6f16be972a2ca178b4eb9cbaa5814ebea98557"),
+        # scale 2; with C7, the perfbench expand jobs of the largest peak memory
+        (("invariants", "D", "6", "--expand"), "02f4ed731d00650b17ec463fd4c2d2c29e9bbf08dbea8b79f457b382ed249824"),
     ],
 )
 def test_expansion_bytes_are_pinned(capsys, argv, digest):

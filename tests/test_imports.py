@@ -15,8 +15,8 @@ import rootinv
 
 SRC = Path(__file__).parents[1] / "src"
 
-# Prints the rootinv modules and whether numpy is loaded after the statements before it.
-_LOADED = 'print(json.dumps([sorted(n for n in sys.modules if n.startswith("rootinv.")), "numpy" in sys.modules]))'
+# Prints the rootinv modules and whether the module probe is loaded after the statements before it.
+_LOADED = 'print(json.dumps([sorted(n for n in sys.modules if n.startswith("rootinv.")), {probe!r} in sys.modules]))'
 
 # Runs the CLI as `python -m rootinv.cli` does (as __main__, so a second import of rootinv.cli
 # would show), on the arguments after the script.
@@ -28,9 +28,9 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
 """
 
 
-def _loaded(code: str, *argv: str) -> tuple[set[str], bool]:
-    """The rootinv modules (without the package prefix) and numpy's presence after code runs."""
-    script = f"import json, sys\n{code}\n{_LOADED}"
+def _loaded(code: str, *argv: str, probe: str = "numpy") -> tuple[set[str], bool]:
+    """The rootinv modules (without the package prefix) and the presence of probe after code runs."""
+    script = f"import json, sys\n{code}\n{_LOADED.format(probe=probe)}"
     out = subprocess.run(
         [sys.executable, "-c", script, *argv],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -69,6 +69,11 @@ _INVARIANTS = _CLASSGROUP | {"reports"}
 )
 def test_each_command_loads_the_modules_it_runs(argv, want):
     assert _loaded(_RUN_CLI, *argv) == (want, True)
+
+
+def test_a_banded_product_loads_no_numpy_ma():
+    # np.unique calls np.ma.is_masked, which imports numpy.ma (10-13 ms); C7's products are banded
+    assert _loaded(_RUN_CLI, "invariants", "C", "7", "--expand", probe="numpy.ma") == (_INVARIANTS | {"laurent"}, False)
 
 
 _ALL = [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from rootinv import monoids
@@ -200,6 +201,24 @@ def test_box_mask_stores_a_residue_in_the_smallest_type_that_holds_it():
     m = CongruenceMonoid(2, (Congruence((7, 300), 301),))
     got = _box_mask(m, DEFAULT_BOX_CAP)
     assert got.tolist() == [[(7 * x + 300 * y) % 301 == 0 for y in range(301)] for x in range(43)]
+
+
+def test_box_elements_hold_no_list_beside_the_cells(monkeypatch):
+    # 100,000 cells of 6 coordinates in a 10^6-point box: the tuples hold 9.2 MB.  With the
+    # nested list of pts.tolist() beside them, the peak was 24.5 MB.
+    m = parse_instance("6\n1 3 7 9 1 3 mod 10")
+    assert monoids._box_points(monoids._box_mask(m, 10**6), m.generator_orders()).dtype == np.uint8
+    tracemalloc.start()
+    try:
+        cells = box_elements(m, 10**6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 100_000 and peak < held + 2 * 2**20
+    small = parse_instance("2\n1 2 mod 5")
+    for rows in (1, 3):  # the tuples are built 1 or 3 points at a time
+        monkeypatch.setattr(monoids, "_ROWS", rows)
+        assert box_elements(small) == ((0, 0), (1, 2), (3, 1), (2, 4), (4, 3))
 
 
 @pytest.mark.parametrize(

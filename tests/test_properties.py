@@ -499,9 +499,13 @@ def _ref_add(a: dict, b: dict, sign: int = 1) -> dict:
     return out
 
 
-def _apply(w: WeylElement, e: tuple) -> tuple:
-    """Reference: the matrix of w times the column vector e."""
-    return tuple(sum(a * b for a, b in zip(row, e)) for row in w.matrix)
+def _ref_act(w: WeylElement, a: dict) -> dict:
+    """Reference: each exponent times the matrix of w, as a column vector."""
+    out: dict = {}
+    for e, c in a.items():
+        e2 = tuple(sum(x * y for x, y in zip(row, e)) for row in w.matrix)
+        out[e2] = out.get(e2, 0) + c
+    return out
 
 
 def _ref_render(ring: ExponentLattice, terms: dict) -> str:
@@ -520,6 +524,10 @@ def _ref_render(ring: ExponentLattice, terms: dict) -> str:
         mon = "*".join(factors)
         bits.append(str(c) if not mon else mon if c == 1 else f"{c}*{mon}")
     return " + ".join(bits) or "0"
+
+
+def _matrices(n: int):
+    return st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n).map(WeylElement)
 
 
 def _agrees(p: LaurentPoly, ref: dict) -> None:
@@ -552,22 +560,22 @@ def test_laurent_kernel_matches_the_dict_reference(case, k, power, data):
     _agrees(pa**power, want)
     if sum(map(abs, a.values())) * sum(map(abs, b.values())) >= 2**63:
         assert (pa * pb)._coeffs.dtype == object
-    n = ring.dim
-    w = WeylElement(data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)))
-    image: dict = {}
-    for e, c in a.items():
-        e2 = _apply(w, e)
-        image[e2] = image.get(e2, 0) + c
-    _agrees(act(w, pa), image)
+    w = data.draw(_matrices(ring.dim))
+    _agrees(act(w, pa), _ref_act(w, a))
 
 
 @settings(deadline=None, max_examples=100)
-@given(laurent_cases(), st.sampled_from((1, 3)))
-def test_render_is_unchanged_across_row_blocks(case, rows):
+@given(laurent_cases(), st.sampled_from((1, 3)), st.data())
+def test_kernel_is_unchanged_across_row_blocks(case, rows, data):
     ring, (a, b) = case
-    terms = _ref_mul(a, b)
-    with patch.object(laurent, "_ROWS", rows):  # blocks of 1 and 3 terms
-        assert render(LaurentPoly(ring, terms)) == _ref_render(ring, terms)
+    w = data.draw(_matrices(ring.dim))
+    with patch.object(laurent, "_ROWS", rows):  # exponents packed, unpacked and rendered 1 or 3 rows at a time
+        pa, pb = LaurentPoly(ring, a), LaurentPoly(ring, b)
+        _agrees(pa, a)
+        _agrees(pa + pb, _ref_add(a, b))
+        _agrees(pa - pb, _ref_add(a, b, -1))
+        _agrees(pa * pb, _ref_mul(a, b))
+        _agrees(act(w, pa * pb), _ref_act(w, _ref_mul(a, b)))
 
 
 @st.composite

@@ -4,8 +4,9 @@ Ambient dimensions: the rank-(n-1) symmetric-group family sits in R^n, the
 B/C/D families in R^n, G2 in R^3, F4 in R^4 and E6/E7/E8 in R^8.  Simple
 bases follow the Bourbaki planches, so every downstream index (weights,
 congruence coefficients, generator orders) is in Bourbaki order.  The
-roots are the Weyl orbits of the simple roots, walked on one canonical-parent
-tree with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
+roots are the Weyl orbits of the simple roots from orbit_levels, the one
+canonical-parent walk on integer levels (weyl's orbits and group levels use
+it too), with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
 coefficients m_i of the highest root (Bourbaki, Lie Groups and Lie Algebras,
 Ch. VI, 2).  Everything is kept as integer tables: the simple roots over
 DEN, the roots in simple-root coordinates, and the fundamental weights over
@@ -51,8 +52,7 @@ class RootSystemType:
         )
         if not ok:
             raise InvalidRank(f"{fam}_{n} is not an irreducible type handled here")
-        # |Phi| = rank * h for the Coxeter number h (Bourbaki, Ch. VI, 1.11 and the planches)
-        h = {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "F": 12, "G": 6}.get(fam) or {6: 12, 7: 18, 8: 30}[n]
+        h = self.coxeter_number
         if n * h * n > ROOT_TABLE_LIMIT:
             raise InvalidRank(
                 f"{fam}_{n}: its root table holds |Phi| * rank = {n * h * n} entries, beyond the limit {ROOT_TABLE_LIMIT}"
@@ -65,6 +65,12 @@ class RootSystemType:
     @property
     def name(self) -> str:
         return f"{self.family}{self.rank}"
+
+    @property
+    def coxeter_number(self) -> int:
+        """h = |Phi| / rank (Bourbaki, Ch. VI, 1.11 and the planches)."""
+        f, n = self.family, self.rank
+        return {"A": n + 1, "B": 2 * n, "C": 2 * n, "D": 2 * n - 2, "F": 12, "G": 6}.get(f) or {6: 12, 7: 18, 8: 30}[n]
 
     @staticmethod
     def parse(family: str, rank: int | None = None) -> "RootSystemType":
@@ -204,28 +210,59 @@ def dominant(cartan_rows, m: Sequence) -> tuple:
     return m
 
 
-def orbit_tree(cartan_rows, top: Sequence) -> Iterator[tuple]:
-    """Each point of the W-orbit of the dominant point top, once, level by level.
+def orbit_levels(cartan_rows, h: int, top: Sequence[int], first: int = 0) -> Iterator[tuple[np.ndarray, ...]]:
+    """The orbit of the dominant integer point top under s_first, ..., s_{n-1}, level by level.
 
-    Every other point mu has one canonical parent s_i mu, where i is the
-    first negative coordinate of mu (its first descent; Casselman, Invent.
-    Math. 116, 1994).  So the children of mu are the s_i mu with mu_i > 0
-    whose coordinates 0..i-1 are all nonnegative.  A point is yielded before
-    its children are built, so a caller that stops early has built no more
-    than the children of the points it has seen.
+    Yields (mu, gen, parent) for each level: mu (n, F) holds its points as
+    columns, in weight coordinates, and the next level holds the children
+    s_gen[k] mu[:, parent[k]] in that order, gen ascending.  Each point but top
+    comes once, from its canonical parent s_i mu, i its first descent: the
+    first j >= first with mu_j < 0 (Casselman, Invent. Math. 116, 1994).  So
+    s_i mu is a child of mu when mu_i > 0 and no coordinate j of s_i mu with
+    first <= j < i is negative.  s_i raises each Cartan neighbour j of i by
+    |c_ji| mu_i and keeps the other coordinates j != i, so one pass counts the
+    negative coordinates before every i and takes off the earlier neighbours
+    that s_i lifts to >= 0.  Two points of W_J top, J = {first, ..., n - 1},
+    differ in a coordinate in J (the Cartan matrix of J is invertible), so the
+    coordinates outside J need not steer.
+
+    A coordinate of w(top) is <top, w^-1 alpha_i^vee>, and a coroot's
+    simple-coroot coordinates sum to at most h - 1, so the points and the
+    counts of negative coordinates (n - 1 < h) are kept in the smallest signed
+    type that holds (h - 1) max|top_i|: int8 for rho and every omega_i while
+    h <= 128, object past int64.  Intermediates may wrap: the arithmetic is
+    modular, and every result lies in range.
     """
-    cols = tuple(zip(*cartan_rows))
-    level = [_weight(cartan_rows, top)]
-    while level:
-        children = []
-        for mu in level:
-            yield mu
-            for i, mi in enumerate(mu):
-                if mi > 0:
-                    nu = tuple(a - mi * c for a, c in zip(mu, cols[i]))
-                    if min(nu[:i], default=0) >= 0:
-                        children.append(nu)
-        level = children
+    top = _weight(cartan_rows, top)
+    dtype = np.min_scalar_type(-(h - 1) * max(abs(int(x)) for x in top) - 1)
+    cart = np.array(cartan_rows, dtype)
+    earlier = [[j - first for j in range(first, i) if cartan_rows[j][i]] for i in range(first, len(top))]
+    slots = []  # slot s: the rows of J with an s-th neighbour j < i, those j, and -c_ji > 0
+    for s in range(max(map(len, earlier), default=0)):
+        rows = [r for r, e in enumerate(earlier) if len(e) > s]
+        js = [earlier[r][s] for r in rows]
+        slots.append((rows, js, -cart[[first + j for j in js], [first + r for r in rows]][:, None]))
+    mu = np.array(top, dtype)[:, None]
+    while mu.shape[1]:
+        mu_j = mu[first:]
+        neg = mu_j < 0
+        bad = neg.cumsum(axis=0, dtype=dtype) - neg  # bad[r, f]: coordinates j < r of J with mu_j < 0
+        for rows, js, c in slots:
+            bad[rows] -= neg[js] & (mu_j[js] + c * mu_j[rows] >= 0)
+        gen, parent = ((mu_j > 0) & (bad == 0)).nonzero()
+        gen += first
+        yield mu, gen, parent
+        mu = mu[:, parent]
+        mu -= cart[:, gen] * mu[gen, np.arange(len(gen))]
+
+
+def macdonald_order(coords: np.ndarray) -> Fraction:
+    """|W| of the roots in the rows of coords (simple-root coordinates): Macdonald's product
+    over the positive roots beta of (ht(beta) + 1) / ht(beta) (Math. Ann. 199, 1972), which is
+    prod_j j^(c_(j-1) - c_j) for c_k positive roots of height k."""
+    heights = coords.sum(axis=1)
+    c = np.bincount(heights[heights > 0]).tolist() + [0]
+    return prod(Fraction(j) ** (c[j - 1] - c[j]) for j in range(2, len(c)))
 
 
 def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
@@ -254,17 +291,14 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     # Cartan columns; W is transitive on the roots of each length
     by_length = {g: i for i, g in enumerate(gram.diagonal().tolist())}
     tops = [dominant(cartan_rows, [row[j] for row in cartan_rows]) for j in by_length.values()]
-    pts = np.array([m for top in tops for m in orbit_tree(cartan_rows, top)], dtype=np.int64)
-    coords = pts @ weights // f  # simple-root coordinates; every root lies in Q
-    heights = coords.sum(axis=1)
-    highest = coords[heights.argmax()].tolist()  # the root of greatest height
+    pts = np.concatenate([mu for top in tops for mu, _, _ in orbit_levels(cartan_rows, t.coxeter_number, top)], axis=1)
+    coords = pts.T.astype(np.int64) @ weights // f  # simple-root coordinates; every root lies in Q
+    highest = coords[coords.sum(axis=1).argmax()].tolist()  # the root of greatest height
     expected = n * (sum(highest) + 1)
     if len(coords) != expected:
         raise AssertionError(f"{t.name}: {len(coords)} roots, but rank * (ht(theta) + 1) = {expected}")
     weyl_order = factorial(n) * f * prod(highest)
-    # with c_k positive roots of height k, the product is prod_j j^(c_(j-1) - c_j)
-    c = np.bincount(heights[heights > 0]).tolist() + [0]
-    macdonald = prod(Fraction(j) ** (c[j - 1] - c[j]) for j in range(2, len(c)))
+    macdonald = macdonald_order(coords)
     if weyl_order != macdonald:
         raise AssertionError(
             f"{t.name}: n! |P/Q| prod(m_i) = {weyl_order}, but prod (ht(beta) + 1) / ht(beta) = {macdonald}"

@@ -7,10 +7,12 @@ numpy int8 stacks (entries of Weyl matrices are bounded by the highest
 root's coordinates) with exact integer arithmetic throughout.  It is
 graded by Coxeter length: s_i w is longer than w exactly when the i-th
 weight coordinate of w(rho) is positive.  Group levels, orbits and roots
-all walk one canonical-parent tree, so nothing is deduplicated: every
-w != 1 has the one parent s_i w where i is its first descent, the first
-negative weight coordinate of w(rho); for an orbit point mu, i is the first
-negative coordinate of mu (Casselman, Invent. Math. 116, 1994).  The
+all come from one canonical-parent walk on integer levels,
+rootsystem.orbit_levels, so nothing is deduplicated: every w != 1 has the
+one parent s_i w where i is its first descent, the first negative weight
+coordinate of w(rho); for an orbit point mu, i is the first negative
+coordinate of mu (Casselman, Invent. Math. 116, 1994).  An orbit's size
+|W| / |W_J| is known before it is walked, so its cap is checked first.  The
 reflection scan does not walk W itself: it factors W as a product A B of
 parabolic coset walks of about sqrt|W| elements each, and reads the trace
 of every product a b from one matrix product of the two stacks.
@@ -21,13 +23,14 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DEFAULT_GROUP_CAP, DEFAULT_ORBIT_CAP, GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from .intlinalg import RatVector
-from .rootsystem import RootSystem, dominant, orbit_tree, sorted_ratvectors
+from .rootsystem import RootSystem, dominant, macdonald_order, orbit_levels, sorted_ratvectors
 
 _BLOCK = 1 << 18  # traces one step of the reflection scan forms at once; bounds its memory
 
@@ -113,17 +116,23 @@ def orbit_weight_coords(
 ) -> list[tuple[int | Fraction, ...]]:
     """Orbit of a vector given in weight coordinates (rational off the weight lattice).
 
-    Walks the canonical-parent tree from the orbit's dominant point, so each
-    point comes once; raises OrbitCapExceeded as soon as a point beyond the
-    cap is reached.
+    The orbit of its dominant point top has |W| / |W_J| points, J the zero
+    coordinates of top, so an orbit beyond the cap raises OrbitCapExceeded
+    before the walk starts.  The walk (rootsystem.orbit_levels) runs on
+    d * top for the common denominator d of top, so each point comes once
+    and exact; AssertionError unless it finds |W| / |W_J| points.
     """
-    cart = rs.cartan.rows
-    pts = []
-    for mu in orbit_tree(cart, dominant(cart, m)):
-        if len(pts) == cap:
-            raise OrbitCapExceeded(f"orbit larger than {cap}; raise it with --orbit-cap")
-        pts.append(mu)
-    return pts
+    top = dominant(rs.cartan.rows, m)
+    on_j = ~rs.root_coords[:, [x != 0 for x in top]].any(axis=1)  # the roots of W_J
+    size = rs.weyl_order // macdonald_order(rs.root_coords[on_j])
+    if size > cap:
+        raise OrbitCapExceeded(f"orbit larger than {cap}; raise it with --orbit-cap")
+    d = lcm(*(Fraction(x).denominator for x in top))
+    walk = orbit_levels(rs.cartan.rows, rs.rtype.coxeter_number, [int(x * d) for x in top])
+    pts = np.concatenate([mu for mu, _, _ in walk], axis=1).T.tolist()
+    if len(pts) != size:
+        raise AssertionError(f"the orbit walk found {len(pts)} points, |W| / |W_J| gives {size}")
+    return [tuple(p) for p in pts] if d == 1 else [tuple(Fraction(x, d) for x in p) for p in pts]
 
 
 def _group_levels(
@@ -139,75 +148,32 @@ def _group_levels(
     GroupCapExceeded when |W| > cap, before the first level, and
     AssertionError when the walk of rho under all of W does not add up to |W|.
 
-    Each element is built once, from its canonical parent (see
-    rootsystem.orbit_tree), with w(top) carried in weight coordinates: s_i w
-    is a child of w when (w top)_i > 0 and no coordinate j of s_i w(top) with
-    first <= j < i is negative.  s_i raises each Cartan neighbour j of i by
-    |c_ji| (w top)_i and keeps the other coordinates j != i, so one pass over
-    the level counts the negative coordinates before every i and takes off
-    the earlier neighbours that s_i lifts to >= 0; s_i then changes only row
-    i of w.  Two points of W_J top differ in a coordinate in J (the Cartan
-    matrix of J is invertible), so the coordinates outside J need not steer
-    the walk.
-
-    Dtype bounds: a coordinate of w(top) is <top, w^-1 alpha_i^vee>, at most
-    a coroot's height for rho or top = omega_m, so at most h - 1 in absolute
-    value, and w(top) is kept in the smallest signed type that holds h - 1
-    (int8 while h <= 128: every exceptional type and every classical type
-    up to rank 64), as is the count of negative coordinates, at most
-    n - 1 < h.  A matrix entry is a simple-root coordinate of a root,
-    at most the highest root's largest coefficient (6, on E8), so int8.
-    Intermediates may wrap: the arithmetic is modular, and every result lies
-    in range.
+    The levels follow rootsystem.orbit_levels; a child s_i w changes only row
+    i of w.  A matrix entry is a simple-root coordinate of a root, at most
+    the highest root's largest coefficient (6, on E8), so int8.
     """
     if rs.weyl_order > cap:
         raise GroupCapExceeded(f"|W| = {rs.weyl_order} exceeds cap {cap}; raise it with --group-cap")
     n = rs.rank
     cart = rs.cartan.rows
     nbrs = [[j for j in range(n) if j != i and cart[i][j]] for i in range(n)]
-    dtype = _rho_dtype(rs)
-    gens = range(first, n)
-    earlier = [[j - first for j in nbrs[i] if first <= j < i] for i in gens]  # rows of J
-    slots = []  # slot s: the rows i with an s-th neighbour j < i, those j, and -c_ji > 0
-    for s in range(max(map(len, earlier), default=0)):
-        rows = [r for r, e in enumerate(earlier) if len(e) > s]
-        js = [earlier[r][s] for r in rows]
-        slots.append((rows, js, np.array([-cart[first + j][first + r] for r, j in zip(rows, js)], dtype)[:, None]))
     level = np.eye(n, dtype=np.int8)[None, :, :]
-    mu = np.array((1,) * n if top is None else top, dtype=dtype)[:, None]  # mu[j, f]: (w_f top)_j
     total = 0
-    while level.shape[0]:
+    for _, gen, parent in orbit_levels(cart, rs.rtype.coxeter_number, (1,) * n if top is None else top, first):
         yield level
         total += level.shape[0]
-        mu_j = mu[first:]
-        neg = mu_j < 0
-        bad = np.zeros_like(mu_j)  # bad[i, f]: coordinates j < i with (w_f top)_j < 0
-        for r in range(1, len(gens)):
-            np.add(bad[r - 1], neg[r - 1], out=bad[r])
-        for rows, js, c in slots:  # a neighbour becomes mu_j + |c_ji| mu_i in s_i w(top)
-            bad[rows] -= neg[js] & (mu_j[js] + c * mu_j[rows] >= 0)
-        child = (mu_j > 0) & (bad == 0)  # child[i, f]: s_i w_f is a child
-        mats, mus = [level[:0]], [mu[:, :0]]  # so that an empty J ends the walk too
-        for i, kids in zip(gens, child):
-            idx = np.flatnonzero(kids)
-            if not len(idx):
-                continue
-            new, m = level[idx], mu[:, idx]
-            row, mi = -new[:, i, :], m[i]
+        bounds = np.searchsorted(gen, range(first, n + 1)).tolist()  # gen ascends
+        mats = [level[:0]]  # the last level has no children
+        for i, lo, hi in zip(range(first, n), bounds, bounds[1:]):
+            new = level[parent[lo:hi]]
+            row = -new[:, i, :]
             for j in nbrs[i]:
                 row -= cart[i][j] * new[:, j, :]
-                m[j] -= cart[j][i] * mi
-            new[:, i, :], m[i] = row, -mi
+            new[:, i, :] = row
             mats.append(new)
-            mus.append(m)
-        level, mu = np.concatenate(mats), np.concatenate(mus, axis=1)
+        level = np.concatenate(mats)
     if top is None and first == 0 and total != rs.weyl_order:
         raise AssertionError(f"closure found {total} elements, the order formula gives {rs.weyl_order}")
-
-
-def _rho_dtype(rs: RootSystem) -> np.dtype:
-    """Smallest signed type holding +-(h - 1), h = |Phi| / rank the Coxeter number."""
-    return np.min_scalar_type(-(len(rs.root_coords) // rs.rank))
 
 
 def group_order_bfs(rs: RootSystem, cap: int = DEFAULT_GROUP_CAP) -> int:

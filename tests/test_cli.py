@@ -105,6 +105,26 @@ def test_expansion_bytes_are_pinned(capsys, argv, digest):
 
 
 @pytest.mark.parametrize(
+    "name,digest",
+    [
+        # 1,640 roots, from the one orbit of theta
+        ("A40", "5bfa5493a4bd9f73e0a4f0faee84c3ba8914ad18d3f3721ec22db1089b452ce2"),
+        # two root lengths, so two orbits
+        ("B8", "dfb293ac4cbcf3a649b90ab4608114f87eab91f88aa3428c1c483d9b0d12417a"),
+        ("D8", "d4141fd0ad418eae0923e264ae2003f99d43046d9890f7cb07282f47c993383f"),
+        # 240 roots; highest-root coefficients up to 6
+        ("E8", "e4774a6cabcb4cfb8f714ef83edf87a8033c53a588ca95e92a8ceff673cd575e"),
+        ("F4", "c3fddb88c3c66d994ea9027f7d68c51ee8ec2a2688e2446f48c6f4380514f5c6"),
+        ("G2", "d8b2046061f13b1edd3f76037da213132b222d939b2e353d8ab26249d38ba071"),
+    ],
+)
+def test_info_bytes_are_pinned(capsys, name, digest):
+    code, out = run_cli(capsys, "info", name)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv,digest",
     [
         # 19 generators, 115 binomials up to degree 4

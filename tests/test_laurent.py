@@ -21,7 +21,7 @@ from rootinv.laurent import (
     orbit_sum_weight_coords,
     render,
 )
-from rootinv.rootsystem import build, dominant, orbit_tree
+from rootinv.rootsystem import build, dominant, orbit_levels
 from rootinv.weyl import orbit, orbit_weight_coords, simple_reflections
 
 
@@ -119,7 +119,7 @@ def test_orbit_sum_rejects_non_weight():
         orbit_sum_weight_coords,
         orbit_weight_coords,
         lambda rs, m: dominant(rs.cartan.rows, m),
-        lambda rs, m: list(orbit_tree(rs.cartan.rows, m)),
+        lambda rs, m: list(orbit_levels(rs.cartan.rows, rs.rtype.coxeter_number, m)),
     ],
 )
 def test_weights_of_the_wrong_length_are_rejected(walk, m):

@@ -260,8 +260,14 @@ def test_root_tables_are_read_only():
 
 
 def test_build_checks_the_root_count(monkeypatch, capsys):
-    walk = rootsystem.orbit_tree
-    monkeypatch.setattr(rootsystem, "orbit_tree", lambda cart, top: list(walk(cart, top))[:-1])
+    walk = rootsystem.orbit_levels
+
+    def short(*args):  # the walk without the last point of its last level
+        levels = list(walk(*args))
+        mu, gen, parent = levels[-1]
+        return levels[:-1] + [(mu[:, :-1], gen, parent)]
+
+    monkeypatch.setattr(rootsystem, "orbit_levels", short)
     with pytest.raises(AssertionError, match=r"E6: 71 roots, but rank \* \(ht\(theta\) \+ 1\) = 72"):
         build("E", 6)
     assert cli.main(["info", "E6"]) == 1

@@ -15,12 +15,11 @@ from rootinv import weyl
 from rootinv.classgroup import class_group
 from rootinv.errors import GroupCapExceeded, NotInvolution, OrbitCapExceeded
 from rootinv.intlinalg import IntMatrix, smith_normal_form
-from rootinv.rootsystem import RootSystemType, build
+from rootinv.rootsystem import RootSystemType, build, macdonald_order, orbit_levels
 from rootinv.weyl import (
     WeylElement,
     _group_levels,
     _parabolic_factors,
-    _rho_dtype,
     coroot_pairings,
     enumerate_group,
     group_order_bfs,
@@ -181,20 +180,94 @@ def test_non_dominant_start_gives_the_orbit_of_its_dominant_point(name):
             assert len(got) == len(want) and set(got) == set(want), (name, top, start)
 
 
+def _refuse_the_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the orbit walk was entered")
+
+    monkeypatch.setattr(weyl, "orbit_levels", refuse)
+
+
 def test_orbit_cap_is_checked_before_a_point_is_kept(monkeypatch):
-    import rootinv.weyl as weyl
-
-    walk, drawn = weyl.orbit_tree, []
-
-    def counting(cartan_rows, top):
-        for mu in walk(cartan_rows, top):
-            drawn.append(mu)
-            yield mu
-
-    monkeypatch.setattr(weyl, "orbit_tree", counting)
+    rs = build("E", 6)
+    _refuse_the_walk(monkeypatch)
     with pytest.raises(OrbitCapExceeded):
-        orbit_weight_coords(build("E", 6), (1,) * 6, cap=100)
-    assert len(drawn) == 101  # of 51,840: the walk stops at the first point beyond the cap
+        orbit_weight_coords(rs, (1,) * 6, cap=100)  # |W| / |W_J| = 51,840 with J empty
+    with pytest.raises(OrbitCapExceeded):
+        orbit_weight_coords(rs, (1, 0, 0, 0, 0, 0), cap=26)  # 27 points, one beyond the cap
+
+
+def test_an_e8_orbit_beyond_the_cap_is_refused_at_once(monkeypatch):
+    rs = build("E", 8)
+    _refuse_the_walk(monkeypatch)
+    with pytest.raises(OrbitCapExceeded, match=r"^orbit larger than 1000000; raise it with --orbit-cap$"):
+        orbit_weight_coords(rs, (1,) * 8, cap=10**6)  # |W(E8)| = 696,729,600 points
+
+
+def test_the_orbit_walk_is_checked_against_the_orbit_size(monkeypatch):
+    walk = weyl.orbit_levels
+
+    def short(*args):
+        levels = list(walk(*args))
+        mu, gen, parent = levels[-1]
+        return levels[:-1] + [(mu[:, 1:], gen, parent)]
+
+    monkeypatch.setattr(weyl, "orbit_levels", short)
+    with pytest.raises(AssertionError, match=r"^the orbit walk found 26 points, \|W\| / \|W_J\| gives 27$"):
+        orbit_weight_coords(build("E", 6), (1, 0, 0, 0, 0, 0))
+
+
+def _closure(rs, m, gens=None):
+    """Reference: the orbit of m (weight coordinates) under the simple reflections gens, as a closed set."""
+    cols = list(zip(*rs.cartan.rows))
+    seen, todo = {tuple(m)}, [tuple(m)]
+    while todo:
+        mu = todo.pop()
+        for i in range(rs.rank) if gens is None else gens:
+            nu = tuple(a - mu[i] * c for a, c in zip(mu, cols[i]))
+            if nu not in seen:
+                seen.add(nu)
+                todo.append(nu)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"])
+def test_orbit_walk_matches_the_closure_reference(name):
+    rs = _types(name)[0]
+    n = rs.rank
+    tops = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    tops += [(1,) * n, (2,) + (0,) * (n - 1), (0,) * (n - 1) + (3,), tuple(Fraction(k + 1, 3) for k in range(n))]
+    tops.append((2**70,) + (0,) * (n - 1))  # past int64: the walk runs on Python ints
+    for top in tops:
+        want = _closure(rs, top)
+        stabilizer = _closure(rs, (1,) * n, [j for j in range(n) if top[j] == 0])  # a regular orbit of W_J
+        assert len(want) * len(stabilizer) == rs.weyl_order, (name, top)
+        starts = [top] + sorted(p for p in want if min(p) < 0)[:: max(1, len(want) // 4)]
+        for start in starts:
+            got = orbit_weight_coords(rs, start)
+            assert len(got) == len(set(got)) == len(want) and set(got) == want, (name, top, start)
+    assert _walk_dtype(rs, tops[-1]) == object
+
+
+_SIZED = (
+    [f"A{r}" for r in range(1, 9)] + [f"B{n}" for n in range(2, 9)] + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_fundamental_orbit_walks_match_their_sizes():
+    # the walk's point count, with no repeats, against |W| / |W_J| for J = every node but i
+    count = 0
+    for rs in _types(*_SIZED):
+        coords, n = rs.root_coords, rs.rank
+        for i in range(n):
+            top = tuple(int(i == j) for j in range(n))
+            pts = np.concatenate([mu for mu, _, _ in orbit_levels(rs.cartan.rows, rs.rtype.coxeter_number, top)], 1)
+            size = rs.weyl_order // macdonald_order(coords[coords[:, i] == 0])
+            assert pts.shape[1] == len(np.unique(pts, axis=1).T) == size, (rs.rtype.name, i)
+            count += size
+    # A_n: C(n + 1, i); B_n, C_n: 2^i C(n, i); D_n: the same but 2^(n - 1) at both spin nodes;
+    # E6, E7, E8, F4, G2: 1,278, 17,642, 881,760, 240, 12 (Bourbaki, planches)
+    assert count == 929_630
 
 
 def test_group_enumeration_small():
@@ -463,12 +536,22 @@ def test_group_levels_match_the_dense_reference():
 def test_group_level_dtypes_hold_their_bounds():
     for rs in _types_up_to(60_000):
         h = len(rs.roots) // rs.rank  # the Coxeter number
+        assert rs.rtype.coxeter_number == h, rs.rtype.name
         rho_max = max(int(np.abs(rho).max()) for _, rho in _group_levels_reference(rs))
-        assert rho_max == h - 1 <= np.iinfo(_rho_dtype(rs)).max, rs.rtype.name
+        assert rho_max == h - 1 <= np.iinfo(_walk_dtype(rs, (1,) * rs.rank)).max, rs.rtype.name
         top = max(max(rs.alpha_coords(beta)) for beta in rs.roots)  # the highest root's largest coefficient
         entry_max = max(int(np.abs(level).max()) for level in _group_levels(rs, rs.weyl_order))
         assert entry_max == top <= np.iinfo(np.int8).max, rs.rtype.name
-    assert _rho_dtype(build("E", 8)) == np.int8  # h - 1 = 29
+    e8, a2 = build("E", 8), build("A", 2)
+    assert _walk_dtype(e8, (1,) * 8) == _walk_dtype(e8, (0, 0, 0, 1, 0, 0, 0, 0)) == np.int8  # h - 1 = 29
+    assert _walk_dtype(a2, (63, 0)) == np.int8 and _walk_dtype(a2, (64, 0)) == np.int16  # 2 * 63 <= 127 < 2 * 64
+    assert _walk_dtype(a2, (2**62 - 1, 0)) == np.int64 and _walk_dtype(a2, (2**62, 0)) == object  # 2^63 - 2, 2^63
+
+
+def _walk_dtype(rs, top):
+    """The dtype of the orbit walk from the dominant point top."""
+    mu, _, _ = next(orbit_levels(rs.cartan.rows, rs.rtype.coxeter_number, top))
+    return mu.dtype
 
 
 def test_cap_errors_name_their_flag():

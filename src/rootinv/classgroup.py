@@ -12,8 +12,9 @@ toric divisor class group of the associated affine monoid algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .intlinalg import IntVec, cokernel_invariant_factors
+from .intlinalg import IntVec
 from .monoids import family_monoid, toric_class_group
 from .rootsystem import RootSystem
 from .weyl import DEFAULT_GROUP_CAP, coroot_pairings, reflections, root_reflections
@@ -27,10 +28,7 @@ class AbelianGroupStructure:
 
     @property
     def order(self) -> int:
-        out = 1
-        for f in self.invariant_factors:
-            out *= f
-        return out
+        return prod(self.invariant_factors)
 
     @property
     def name(self) -> str:
@@ -40,8 +38,8 @@ class AbelianGroupStructure:
 
 
 def weight_quotient(rs: RootSystem) -> AbelianGroupStructure:
-    """Weight lattice modulo root lattice: cokernel of the Cartan matrix."""
-    return AbelianGroupStructure(cokernel_invariant_factors(rs.cartan))
+    """Weight lattice modulo root lattice: cokernel of the Cartan matrix, whose invariant factors build keeps."""
+    return AbelianGroupStructure(rs.invariant_factors)
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,6 @@ def cmd_info(args: argparse.Namespace) -> int:
 
     t = _parse_type(args)
     rs = build(t)
-    # a finite-type Cartan matrix is positive definite, so its determinant is the order of its cokernel
-    quotient = weight_quotient(rs)
     payload = {
         "type": t.name,
         "family": t.family,
@@ -118,12 +116,12 @@ def cmd_info(args: argparse.Namespace) -> int:
         "root_count": len(rs.root_coords),
         "weyl_order": rs.weyl_order,
         "cartan_matrix": [list(r) for r in rs.cartan.rows],
-        "cartan_determinant": quotient.order,
+        "cartan_determinant": rs.index,
         "fundamental_weights_alpha": [
             [str(x) for x in w] for w in rs.fundamental_weights_alpha
         ],
         "weight_orders": list(rs.weight_orders),
-        "weight_quotient": quotient.name,
+        "weight_quotient": weight_quotient(rs).name,
     }
     _emit(_document(f"info {t.name}", payload))
     return 0
@@ -236,15 +234,13 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
     t = _parse_type(args)
     rs = build(t)
     res = class_group_cross_check(rs, args.group_cap)
-    # with no diagonalizable reflection the class group is the weight quotient itself
-    quotient = res.group if res.diagonalizable_rank == 0 else weight_quotient(rs)
     payload = {
         "type": t.name,
         "class_group": res.name,
         "invariant_factors": list(res.group.invariant_factors),
         "diagonalizable_reflection_rank": res.diagonalizable_rank,
         "method": res.method,
-        "weight_quotient": quotient.name,
+        "weight_quotient": weight_quotient(rs).name,
         "toric_cross_check": "agree",
     }
     _emit(_document(f"classgroup {t.name}", payload))

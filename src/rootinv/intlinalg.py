@@ -1,8 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
-Everything here works with arbitrary-precision Python ints / Fractions;
-no floating point is used anywhere.  The Smith normal form is the one
-elimination: kernels, cokernels, determinants and inverses all come from it.
+Everything here is exact: Python ints and Fractions, or numpy int64 where a
+bound rules out overflow.  The Smith normal form is the one elimination:
+kernels, cokernels, determinants and inverses all come from it.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, InfiniteQuotient
 
@@ -49,19 +51,8 @@ class IntMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> int:
         return self.rows[ij[0]][ij[1]]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows))) if self.rows else self
-
     def col(self, j: int) -> IntVec:
         return tuple(r[j] for r in self.rows)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"{self.ncols} != {other.nrows}")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, c)) for c in cols) for row in self.rows)
-        )
 
 
 @dataclass(frozen=True)
@@ -175,12 +166,13 @@ def cokernel_invariant_factors(a: IntMatrix) -> IntVec:
     return tuple(x for x in sf.diagonal if x > 1)
 
 
-def scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
-    """(f, f * A^-1) for a square nonsingular A, where f = |det A|.
+def scaled_inverse(a: IntMatrix) -> tuple[IntVec, np.ndarray]:
+    """(d, f * A^-1) for a square nonsingular A: d its Smith diagonal, f = prod(d) = |det A|.
 
-    With U A V = D, A^-1 = V D^-1 U, and every d_i divides f = prod(d_i), so
-    f * A^-1 = V diag(f / d_i) U is integral (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, 2.4.4).
+    With U A V = D, A^-1 = V D^-1 U, and every d_i divides f, so f * A^-1 =
+    V diag(f / d_i) U is integral (Cohen, A Course in Computational Algebraic
+    Number Theory, 1993, 2.4.4).  It is taken in int64 when n max|V| max(f / d_i)
+    max|U| < 2^63 bounds every partial sum, else in Python ints.
     """
     if a.nrows != a.ncols:
         raise DimensionMismatch("inverse of a non-square matrix")
@@ -188,12 +180,14 @@ def scaled_inverse(a: IntMatrix) -> tuple[int, IntMatrix]:
     if not all(sf.diagonal):
         raise DimensionMismatch("singular matrix")
     f = prod(sf.diagonal)
-    scaled_u = IntMatrix(tuple(tuple(f // d * x for x in row) for d, row in zip(sf.diagonal, sf.U.rows)))
-    return f, sf.V.mul(scaled_u)
+    scale = [f // d for d in sf.diagonal]
+    big = max(abs(x) for r in sf.V.rows for x in r) * max(scale) * max(abs(x) for r in sf.U.rows for x in r)
+    dtype = np.int64 if a.nrows * big < 1 << 63 else object
+    return sf.diagonal, np.array(sf.V.rows, dtype) * np.array(scale, dtype) @ np.array(sf.U.rows, dtype)
 
 
 def solve_exact(a: Sequence[Sequence[Fraction | int]], b: Sequence[Fraction | int]) -> QVec:
     """Solve A x = b exactly for square nonsingular A over the rationals."""
     s = lcm(*(Fraction(x).denominator for row in a for x in row))  # s * A is integral
-    f, m = scaled_inverse(IntMatrix.from_rows([[x * s for x in row] for row in a]))
-    return tuple(s * sum(x * Fraction(y) for x, y in zip(row, b)) / f for row in m.rows)
+    d, m = scaled_inverse(IntMatrix.from_rows([[x * s for x in row] for row in a]))
+    return tuple(s * sum(x * Fraction(y) for x, y in zip(row, b)) / prod(d) for row in m.tolist())

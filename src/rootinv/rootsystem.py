@@ -6,7 +6,9 @@ bases follow the Bourbaki planches, so every downstream index (weights,
 congruence coefficients, generator orders) is in Bourbaki order.  The
 roots are the Weyl orbits of the simple roots from orbit_levels, the one
 canonical-parent walk on integer levels (weyl's orbits and group levels use
-it too), with no deduplication, and |W| = n! * |P/Q| * prod(m_i) over the
+it too), with no deduplication; the walk carries their simple-root
+coordinates.  One Smith form of the Cartan matrix gives |P/Q|, the invariant
+factors of P/Q and |P/Q| * omega_i, and |W| = n! * |P/Q| * prod(m_i) over the
 coefficients m_i of the highest root (Bourbaki, Lie Groups and Lie Algebras,
 Ch. VI, 2).  Everything is kept as integer tables: the simple roots over
 DEN, the roots in simple-root coordinates, and the fundamental weights over
@@ -25,7 +27,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidRank
-from .intlinalg import IntMatrix, QVec, RatVector, scaled_inverse
+from .intlinalg import IntMatrix, IntVec, QVec, RatVector, scaled_inverse
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 ROOT_TABLE_LIMIT = 1 << 24  # |Phi| * rank entries of the root table; A255 and B, C, D203 are the largest types within it
@@ -97,6 +99,7 @@ class RootSystem:
     gram: np.ndarray = field(compare=False)  # DEN^2 (alpha_i, alpha_j)
     cartan: IntMatrix  # entry (i, j) = <alpha_j, alpha_i^vee>
     index: int  # |P/Q| = det(cartan)
+    invariant_factors: IntVec  # those of P/Q that exceed 1: the Smith diagonal of cartan
     weights: np.ndarray = field(compare=False)  # row i: index * omega_i in simple-root coordinates
     weyl_order: int
 
@@ -197,15 +200,16 @@ def _weight(cartan_rows, m: Sequence) -> tuple:
 
 
 def dominant(cartan_rows, m: Sequence) -> tuple:
-    """The dominant point of the W-orbit of m, given in weight coordinates.
+    """The dominant point of the W-orbit of m, given in weight coordinates."""
+    return _rise(cartan_rows, _weight(cartan_rows, m), [0] * len(cartan_rows))
 
-    s_i acts by m_j -> m_j - m_i * cartan[j][i].  Reflecting in a negative
-    coordinate adds -m_i * alpha_i, so the point rises until it is dominant.
-    """
-    m = _weight(cartan_rows, m)
-    while any(x < 0 for x in m):
-        i = next(i for i, x in enumerate(m) if x < 0)
+
+def _rise(cartan_rows, m: tuple, alpha: list[int]) -> tuple:
+    """dominant(m), adding to alpha the simple-root coordinates of the rise: s_i takes m_j to
+    m_j - m_i * cartan[j][i] and adds -m_i * alpha_i, which raises the point while m_i < 0."""
+    while (i := next((i for i, x in enumerate(m) if x < 0), None)) is not None:
         mi = m[i]
+        alpha[i] -= mi
         m = tuple(a - mi * row[i] for a, row in zip(m, cartan_rows))
     return m
 
@@ -282,17 +286,24 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     cartan_rows = (2 * gram // gram.diagonal()[:, None]).tolist()
     cartan = IntMatrix.from_rows(cartan_rows)
 
-    # fundamental weights: rows of the inverse transposed Cartan matrix are
-    # the alpha-coordinates (so that <w_i, alpha_j^vee> = delta_ij)
-    f, scaled = scaled_inverse(cartan)  # f = det(cartan) = |P/Q|, and f * cartan^{-1}
-    weights = np.array(scaled.transpose().rows, dtype=np.int64)  # f * omega_i, integral
+    # fundamental weights: rows of the inverse transposed Cartan matrix are the alpha-coordinates
+    # (so that <w_i, alpha_j^vee> = delta_ij); the Smith diagonal gives f = |P/Q| and its invariant factors
+    diagonal, scaled = scaled_inverse(cartan)
+    f, weights = prod(diagonal), scaled.T  # f * omega_i, integral
 
     # roots: the orbits of the simple roots, whose weight coordinates are the
-    # Cartan columns; W is transitive on the roots of each length
-    by_length = {g: i for i, g in enumerate(gram.diagonal().tolist())}
-    tops = [dominant(cartan_rows, [row[j] for row in cartan_rows]) for j in by_length.values()]
-    pts = np.concatenate([mu for top in tops for mu, _, _ in orbit_levels(cartan_rows, t.coxeter_number, top)], axis=1)
-    coords = pts.T.astype(np.int64) @ weights // f  # simple-root coordinates; every root lies in Q
+    # Cartan columns; W is transitive on the roots of each length.  A child
+    # s_i mu of the walk has its parent's simple-root coordinates less mu_i alpha_i
+    levels = []
+    for j in {g: i for i, g in enumerate(gram.diagonal().tolist())}.values():
+        alpha = [int(i == j) for i in range(n)]
+        top = _rise(cartan_rows, tuple(row[j] for row in cartan_rows), alpha)
+        level = np.array([alpha], dtype=np.int64)
+        for mu, gen, parent in orbit_levels(cartan_rows, t.coxeter_number, top):
+            levels.append(level)
+            level = level[parent]
+            level[np.arange(len(gen)), gen] -= mu[gen, parent]
+    coords = np.concatenate(levels)  # row k: simple-root coordinates of the k-th walked root
     highest = coords[coords.sum(axis=1).argmax()].tolist()  # the root of greatest height
     expected = n * (sum(highest) + 1)
     if len(coords) != expected:
@@ -306,8 +317,8 @@ def build(t: RootSystemType | str, rank: int | None = None) -> RootSystem:
     for table in (simple, coords, gram, weights):  # a RootSystem may be shared, so its arrays stay as built
         table.setflags(write=False)
     return RootSystem(
-        rtype=t, simple=simple, root_coords=coords, gram=gram, cartan=cartan, index=f, weights=weights,
-        weyl_order=weyl_order,
+        rtype=t, simple=simple, root_coords=coords, gram=gram, cartan=cartan, index=f,
+        invariant_factors=tuple(d for d in diagonal if d > 1), weights=weights, weyl_order=weyl_order,
     )
 
 

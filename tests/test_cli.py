@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootinv import classgroup, cli, intlinalg, monoids, relations, reports, selfcheck
+from rootinv import classgroup, cli, intlinalg, monoids, relations, reports, rootsystem, selfcheck
 from rootinv.errors import GroupCapExceeded
 from rootinv.monoids import Congruence, CongruenceMonoid, graded_lex_sorted, hilbert_basis_box
 from rootinv.reports import report
@@ -352,21 +352,31 @@ def test_class_group_fallback_builds_no_reflection_matrix(capsys, monkeypatch):
     assert (p["class_group"], p["diagonalizable_reflection_rank"], p["method"]) == ("Z/81", 0, "family-fallback")
 
 
-def test_classgroup_takes_the_weight_quotient_from_the_class_group(capsys, monkeypatch):
-    # one Smith form of the Cartan matrix (the reflection route) and one of the toric route
+@pytest.mark.parametrize(
+    "argv,forms",
+    [
+        # build's (it gives |P/Q|, the invariant factors and f * omega_i), the congruence row's kernel,
+        # and the toric route's cokernel
+        (("classgroup", "A", "80"), 3),
+        (("info", "A", "150"), 1),  # build's alone
+    ],
+    ids=["classgroup-A80", "info-A150"],
+)
+def test_smith_forms_per_command(capsys, monkeypatch, argv, forms):
     calls = []
-    original = intlinalg.cokernel_invariant_factors
+    original = intlinalg.smith_normal_form
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    for mod in (classgroup, monoids):
-        monkeypatch.setattr(mod, "cokernel_invariant_factors", counted)
-    code, out = run_cli(capsys, "classgroup", "A", "80")
+    for mod in (classgroup, intlinalg, monoids, reports, rootsystem):  # every module that the command runs
+        if hasattr(mod, "smith_normal_form"):
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    code, out = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["payload"]["weight_quotient"] == "Z/81"
-    assert len(calls) == 2
+    assert json.loads(out)["payload"]["weight_quotient"] == f"Z/{int(argv[2]) + 1}"
+    assert len(calls) == forms
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+import numpy as np
 import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -27,7 +28,7 @@ def check_smith(a: IntMatrix) -> None:
     assert abs(sympy.Matrix(sf.U.rows).det()) == 1
     assert abs(sympy.Matrix(sf.V.rows).det()) == 1
     diag = [[sf.diagonal[i] if i == j else 0 for j in range(a.ncols)] for i in range(a.nrows)]
-    assert sf.U.mul(a).mul(sf.V) == IntMatrix.from_rows(diag)
+    assert sympy.Matrix(sf.U.rows) * sympy.Matrix(a.rows) * sympy.Matrix(sf.V.rows) == sympy.Matrix(diag)
     d = [x for x in sf.diagonal if x]
     for i in range(len(d) - 1):
         assert d[i + 1] % d[i] == 0
@@ -144,10 +145,19 @@ def test_scaled_inverse_against_sympy():
         m = sympy.Matrix(rows)
         if m.det() == 0:
             continue
-        f, inv = scaled_inverse(IntMatrix.from_rows(rows))
-        assert f == abs(m.det())
-        assert sympy.Matrix(inv.rows) == f * m.inv()
+        d, inv = scaled_inverse(IntMatrix.from_rows(rows))
+        assert d == smith_normal_form(IntMatrix.from_rows(rows)).diagonal
+        assert prod(d) == abs(m.det())
+        assert inv.dtype == np.int64
+        assert sympy.Matrix(inv.tolist()) == prod(d) * m.inv()
         trials += 1
+
+
+def test_scaled_inverse_past_int64():
+    # the Smith U and V of this matrix reach 1.6e23, so the product is taken in Python ints
+    d, inv = scaled_inverse(IntMatrix.from_rows(_SMITH_BLOW_UP))
+    assert inv.dtype == object
+    assert sympy.Matrix(inv.tolist()) == prod(d) * sympy.Matrix(_SMITH_BLOW_UP).inv()
 
 
 def test_scaled_inverse_rejects_singular_and_non_square():
@@ -160,7 +170,8 @@ def test_scaled_inverse_rejects_singular_and_non_square():
 def test_solve_exact_and_inverse():
     a = [[2, -1], [-1, 2]]
     assert solve_exact(a, [1, 0]) == (Fraction(2, 3), Fraction(1, 3))
-    assert scaled_inverse(IntMatrix.from_rows(a)) == (3, IntMatrix.from_rows([[2, 1], [1, 2]]))
+    d, inv = scaled_inverse(IntMatrix.from_rows(a))
+    assert (d, inv.tolist()) == ((1, 3), [[2, 1], [1, 2]])
     # non-integral entries: solve_exact clears the denominators before the Smith form
     half_third = [[Fraction(1, 2), Fraction(1, 3)], [1, 1]]
     assert solve_exact(half_third, [1, Fraction(1, 5)]) == (Fraction(28, 5), Fraction(-27, 5))
@@ -176,7 +187,4 @@ def test_ratvector_normalization():
 
 def test_matrix_basics():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    b = IntMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.mul(b) == IntMatrix.from_rows([[2, 1], [4, 3]])
-    assert a.transpose() == IntMatrix.from_rows([[1, 3], [2, 4]])
     assert a.col(0) == (1, 3)

@@ -6,14 +6,16 @@ import json
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 import sympy
 
 from rootinv import cli, rootsystem
 from rootinv.classgroup import class_group
 from rootinv.errors import DimensionMismatch, InvalidRank
+from rootinv.intlinalg import cokernel_invariant_factors
 from rootinv.reports import omega_expand, report
-from rootinv.rootsystem import RootSystemType, build
+from rootinv.rootsystem import RootSystemType, build, dominant, orbit_levels
 from rootinv.weyl import orbit
 
 ALL_SMALL = (
@@ -252,6 +254,32 @@ def test_root_table_against_bourbaki(fam, rank):
     assert max(positive, key=sum) == HIGHEST_ROOT[fam](rank)
 
 
+SWEEP_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [(fam, n) for fam in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2), ("A", 20), ("A", 40), ("A", 150), ("D", 20), ("D", 40)]
+)
+
+
+def _divided_root_coords(rs):
+    """The roots by the route that divides: walk each orbit in weight coordinates from its
+    dominant top, then take (f * omega_i) / f of every point."""
+    rows = rs.cartan.rows
+    tops = [dominant(rows, [row[j] for row in rows]) for j in {g: i for i, g in enumerate(rs.gram.diagonal())}.values()]
+    h = rs.rtype.coxeter_number
+    pts = np.concatenate([mu for top in tops for mu, _, _ in orbit_levels(rows, h, top)], axis=1)
+    return pts.T.astype(np.int64) @ rs.weights // rs.index
+
+
+@pytest.mark.parametrize("fam,rank", SWEEP_TYPES)
+def test_walked_root_coordinates_match_the_divided_ones(fam, rank):
+    rs = _build(fam, rank)
+    assert np.array_equal(rs.root_coords, _divided_root_coords(rs))  # row order included
+    assert np.array_equal(rs.weights @ np.array(rs.cartan.rows).T, rs.index * np.eye(rank, dtype=np.int64))
+    assert rs.invariant_factors == cokernel_invariant_factors(rs.cartan)
+
+
 def test_root_tables_are_read_only():
     rs = build("B", 3)
     for table in (rs.root_coords, rs.gram):
@@ -262,10 +290,10 @@ def test_root_tables_are_read_only():
 def test_build_checks_the_root_count(monkeypatch, capsys):
     walk = rootsystem.orbit_levels
 
-    def short(*args):  # the walk without the last point of its last level
+    def short(*args):  # the walk without the last point of its last level, or the step to it
         levels = list(walk(*args))
-        mu, gen, parent = levels[-1]
-        return levels[:-1] + [(mu[:, :-1], gen, parent)]
+        (mu, gen, parent), (last, *rest) = levels[-2:]
+        return levels[:-2] + [(mu, gen[:-1], parent[:-1]), (last[:, :-1], *rest)]
 
     monkeypatch.setattr(rootsystem, "orbit_levels", short)
     with pytest.raises(AssertionError, match=r"E6: 71 roots, but rank \* \(ht\(theta\) \+ 1\) = 72"):
